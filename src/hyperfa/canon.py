@@ -18,11 +18,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import PreconditionViolated, ResourceLimit, WrongFragment
+from .errors import PreconditionViolated, WrongFragment
 from .fa import Fa
 from .hfa import (
     Fragment,
     Nfh,
+    _require_cap,
     pad_normalize,
     sequence_remap,
     zip_filter_fa,
@@ -38,11 +39,6 @@ class CompletenessReport:
     counterexample: Optional[tuple[ZipWord, IndexSequence]]
 
 
-def _require_cap(k: int, max_k: int) -> None:
-    if k > max_k:
-        raise ResourceLimit(f"arity {k} exceeds the closure cap of {max_k}")
-
-
 def _all_sequences(k: int):
     return itertools.product(range(1, k + 1), repeat=k)
 
@@ -56,9 +52,9 @@ def _closure_fa(nfh: Nfh, seqs, combine_union: bool) -> Fa:
         if result is None:
             result = piece
         elif combine_union:
-            result = result.union(piece).determinize().minimize()
+            result = result.union(piece).minimize()
         else:
-            result = result.intersect(piece).determinize().minimize()
+            result = result.intersect(piece).minimize()
     assert result is not None
     return result
 
@@ -69,7 +65,7 @@ def sequence_closure(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K) -> Nfh:
         raise WrongFragment("sequence closure applies to universal acceptors")
     _require_cap(nfh.k, max_k)
     closed = _closure_fa(nfh, _all_sequences(nfh.k), combine_union=False)
-    return Nfh(nfh.sigma, nfh.prefix, closed.determinize().minimize())
+    return Nfh(nfh.sigma, nfh.prefix, closed.minimize())
 
 
 def permutation_closure(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K) -> Nfh:
@@ -79,7 +75,7 @@ def permutation_closure(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K) -> Nfh:
     _require_cap(nfh.k, max_k)
     perms = itertools.permutations(range(1, nfh.k + 1))
     closed = _closure_fa(nfh, perms, combine_union=True)
-    return Nfh(nfh.sigma, nfh.prefix, closed.determinize().minimize())
+    return Nfh(nfh.sigma, nfh.prefix, closed.minimize())
 
 
 def check_complete(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K + 1) -> CompletenessReport:
@@ -127,7 +123,7 @@ def _canonical_fa(nfh: Nfh) -> Fa:
         combine_union=nfh.fragment is Fragment.EXISTS_ONLY,
     )
     trimmed = closed.intersect(zip_filter_fa(nfh.sigma, nfh.k))
-    return trimmed.determinize().minimize()
+    return trimmed.minimize()
 
 
 def canonical_equal(a1: Nfh, a2: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K) -> bool:

@@ -14,14 +14,8 @@ from typing import Optional
 
 from . import canon, hre
 from .errors import (
-    AlphabetMismatch,
-    ArityMismatch,
-    EmptyRegularLanguage,
     FormatError,
-    HreSyntaxError,
     HyperfaError,
-    InvalidArity,
-    InvalidGraph,
     ResourceLimit,
     Unsupported,
     UnknownSymbol,
@@ -276,20 +270,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (
-        FormatError,
-        HreSyntaxError,
-        ArityMismatch,
-        UnknownSymbol,
-        AlphabetMismatch,
-        EmptyRegularLanguage,
-        InvalidArity,
-        InvalidGraph,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HyperfaError as exc:
+    except (HyperfaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ No epsilon transitions anywhere.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Optional
 
 from .errors import AlphabetMismatch, InvalidArity, UnknownLetter
@@ -45,6 +46,15 @@ class Fa:
                 raise UnknownLetter(f"transition letter {a!r} outside the alphabet")
             step.setdefault((q, a), []).append(r)
         self._step = {k: tuple(sorted(v)) for k, v in step.items()}
+
+    @cached_property
+    def _out(self) -> dict[int, list[tuple[LetterT, int]]]:
+        """(letter, target) pairs leaving each state that has any; safe to
+        cache because an Fa is never mutated."""
+        out: dict[int, list[tuple[LetterT, int]]] = {}
+        for q, a, r in self.transitions:
+            out.setdefault(q, []).append((a, r))
+        return out
 
     # ------------------------------------------------------------------ runs
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -236,8 +237,19 @@ def zip_filter_fa(sigma: Iterable[str], k: int) -> Fa:
 # ---------------------------------------------------------------- semantics
 
 
+# Above this many assignments of the innermost quantifier block, member
+# decides that block by _search_member instead of enumerating it.  Below it,
+# building the residual automaton costs more than the enumeration it saves.
+MEMBER_SEARCH_CUTOVER = 256
+
+
 def member(nfh: Nfh, hw: Hyperword) -> bool:
-    """Evaluate the quantifier prefix over hw with short-circuiting."""
+    """Evaluate the quantifier prefix over hw with short-circuiting.
+
+    Queries with at most MEMBER_SEARCH_CUTOVER assignments of the innermost
+    quantifier block enumerate every assignment; larger ones go to
+    _search_member.
+    """
     for w in hw.words:
         for sym in w:
             if sym not in nfh.sigma:
@@ -246,6 +258,13 @@ def member(nfh: Nfh, hw: Hyperword) -> bool:
     words = hw.words
     prefix = nfh.prefix
     k = nfh.k
+    # |S|^k bounds the block's count, so small queries skip the prefix scan
+    if len(words) ** k > MEMBER_SEARCH_CUTOVER:
+        outer = k - 1
+        while outer > 0 and prefix[outer - 1] is prefix[-1]:
+            outer -= 1
+        if len(words) ** (k - outer) > MEMBER_SEARCH_CUTOVER:
+            return _search_member(nfh, words, outer)
 
     def rec(i: int, chosen: tuple[Word, ...]) -> bool:
         if i == k:
@@ -255,6 +274,142 @@ def member(nfh: Nfh, hw: Hyperword) -> bool:
         return all(rec(i + 1, chosen + (w,)) for w in words)
 
     return rec(0, ())
+
+
+class _Residuals:
+    """The minimal DFA of a finite word set S, built lazily.
+
+    A state is a residual of S, the set of suffixes a track may still read,
+    held as a frozenset of interned suffix ids so that equal residuals are
+    one state.  table(r) maps each symbol r can read to the next residual,
+    and PAD to ENDED when r holds the empty suffix; ENDED reads only PAD.
+    """
+
+    ENDED = 0
+
+    def __init__(self, words: Sequence[Word]):
+        # suffix 0 is the empty word; suffix s > 0 is head[s] then tail[s]
+        self._head: list[Optional[str]] = [None]
+        self._tail = [0]
+        interned: dict[tuple[str, int], int] = {}
+        self._start: dict[Word, int] = {}
+        for w in words:
+            s = 0
+            for sym in reversed(w):
+                nxt = interned.get((sym, s))
+                if nxt is None:
+                    nxt = interned[(sym, s)] = len(self._head)
+                    self._head.append(sym)
+                    self._tail.append(s)
+                s = nxt
+            self._start[w] = s
+        self._ids: dict[frozenset[int], int] = {}
+        self._sets: list[frozenset[int]] = [frozenset()]
+        self._tables: list[Optional[dict[str, int]]] = [{PAD: self.ENDED}]
+        self.top = self._id(frozenset(self._start.values()))
+
+    def _id(self, suffixes: frozenset[int]) -> int:
+        r = self._ids.get(suffixes)
+        if r is None:
+            r = self._ids[suffixes] = len(self._sets)
+            self._sets.append(suffixes)
+            self._tables.append(None)
+        return r
+
+    def single(self, w: Word) -> int:
+        return self._id(frozenset((self._start[w],)))
+
+    def table(self, r: int) -> dict[str, int]:
+        table = self._tables[r]
+        if table is None:
+            nxt: dict[str, set[int]] = {}
+            for s in self._sets[r]:
+                if s:
+                    nxt.setdefault(self._head[s], set()).add(self._tail[s])
+            table = {sym: self._id(frozenset(ss)) for sym, ss in nxt.items()}
+            if 0 in self._sets[r]:
+                table[PAD] = self.ENDED
+            self._tables[r] = table
+        return table
+
+
+def _search_member(nfh: Nfh, words: Sequence[Word], outer: int) -> bool:
+    """member with the innermost quantifier block, tracks outer..k-1, decided
+    by _block_search for each assignment of the outer tracks."""
+    residuals = _Residuals(words)
+    prefix = nfh.prefix
+    inner = (residuals.top,) * (nfh.k - outer)
+    exists = prefix[-1] is Quantifier.EXISTS
+
+    def rec(i: int, chosen: tuple[int, ...]) -> bool:
+        if i == outer:
+            return _block_search(nfh.underlying, residuals, chosen + inner, exists)
+        branches = (rec(i + 1, chosen + (residuals.single(w),)) for w in words)
+        if prefix[i] is Quantifier.EXISTS:
+            return any(branches)
+        return all(branches)
+
+    return rec(0, ())
+
+
+def _block_search(fa: Fa, residuals: _Residuals, start: tuple[int, ...], exists: bool) -> bool:
+    """Decide one quantifier block over S by a search of configurations.
+
+    A configuration is (subset of fa states, residual of each track); start
+    holds singleton residuals for fixed tracks and S for quantified ones.
+    Letters are read as in zip encodings: a track reads a symbol of its
+    residual or, once its residual holds the empty suffix, pad for good; the
+    all-pad letter is never read.  At a configuration where every track can
+    end, the subset decides the assignment it spells.  For EXISTS the block
+    holds iff some such subset meets the accepting states.  For FORALL it
+    fails iff some such subset misses them, or some readable letter has no
+    transition from the subset (each track can still complete its word).
+    """
+    accepting = fa.accepting
+    step = fa._step
+    out = fa._out
+    all_pad = (PAD,) * len(start)
+    first = (fa.initial, start)
+    seen = {first}
+    stack = [first]
+    while stack:
+        subset, res = stack.pop()
+        tables = [residuals.table(r) for r in res]
+        can_end = all(PAD in t for t in tables)
+        if can_end and bool(subset & accepting) is exists:
+            return exists  # a witness for EXISTS, a counterexample for FORALL
+        n_letters = math.prod(len(t) for t in tables) - can_end
+        succ: dict[Letter, tuple[tuple[int, ...], set[int]]] = {}
+        if n_letters <= sum(len(out.get(q, ())) for q in subset):
+            for combo in itertools.product(*(t.items() for t in tables)):
+                letter = tuple(sym for sym, _ in combo)
+                if letter == all_pad:
+                    continue
+                targets = set()
+                for q in subset:
+                    targets.update(step.get((q, letter), ()))
+                if targets:
+                    succ[letter] = (tuple(r for _, r in combo), targets)
+        else:
+            for q in subset:
+                for letter, target in out.get(q, ()):
+                    if letter not in succ:
+                        try:
+                            nxt = tuple([t[sym] for t, sym in zip(tables, letter)])
+                        except KeyError:
+                            continue
+                        if letter == all_pad:
+                            continue
+                        succ[letter] = (nxt, set())
+                    succ[letter][1].add(target)
+        if not exists and len(succ) < n_letters:
+            return False
+        for nxt, targets in succ.values():
+            node = (frozenset(targets), nxt)
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return not exists
 
 
 # ----------------------------------------------------------- Boolean closure
@@ -476,7 +631,7 @@ def regular_member(lang: Fa, nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> bool:
         innermost = prefix.pop()
         if innermost is Quantifier.FORALL:
             current = current.complement()
-        current = _project_last_track(current, padded, nfh.sigma, k)
+        current = _project_track(current, padded, nfh.sigma, k, k - 1)
         if innermost is Quantifier.FORALL:
             current = current.complement()
         k -= 1
@@ -486,17 +641,9 @@ def regular_member(lang: Fa, nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> bool:
     return current.intersect(lifted).shortest_accepted() is not None
 
 
-def _project_last_track(current: Fa, padded: Fa, sigma: tuple[str, ...], k: int) -> Fa:
-    """Project the innermost track by reversing component order, pairing on
-    the front, and reversing the remainder back."""
-    flip = current.remap_letters(lambda l: l[::-1], all_letters(sigma, k))
-    projected = _project_first_track(flip, padded, sigma, k)
-    return projected.remap_letters(lambda l: l[::-1], all_letters(sigma, k - 1))
-
-
-def _project_first_track(current: Fa, padded: Fa, sigma: tuple[str, ...], k: int) -> Fa:
-    """Pair runs of current with padded runs on the first components, then
-    emit the remaining components; closed under trailing pads."""
+def _project_track(current: Fa, padded: Fa, sigma: tuple[str, ...], k: int, index: int) -> Fa:
+    """Pair runs of current with padded runs on component index, then emit
+    the remaining components; closed under trailing pads."""
     from collections import deque
 
     alphabet = all_letters(sigma, k - 1)
@@ -508,21 +655,18 @@ def _project_first_track(current: Fa, padded: Fa, sigma: tuple[str, ...], k: int
             ids[(q, p)] = len(order)
             order.append((q, p))
             queue.append((q, p))
-    by_state: dict[int, list[tuple[Letter, int]]] = {}
-    for q, l, r in current.transitions:
-        by_state.setdefault(q, []).append((l, r))
     trans: list[tuple[int, Letter, int]] = []
     while queue:
         q, p = queue.popleft()
         sid = ids[(q, p)]
-        for l, q2 in by_state.get(q, ()):
-            for p2 in padded._step.get((p, l[0]), ()):
+        for l, q2 in current._out.get(q, ()):
+            for p2 in padded._step.get((p, l[index]), ()):
                 node = (q2, p2)
                 if node not in ids:
                     ids[node] = len(order)
                     order.append(node)
                     queue.append(node)
-                trans.append((sid, l[1:], ids[node]))
+                trans.append((sid, l[:index] + l[index + 1:], ids[node]))
     accepting = [
         i for i, (q, p) in enumerate(order)
         if q in current.accepting and p in padded.accepting

@@ -263,7 +263,7 @@ def learn(
         else:
             answer = teacher.equivalent(candidate)
             if answer is None:
-                final = candidate.underlying.determinize().minimize()
+                final = candidate.underlying.minimize()
                 emit("done", {"states": final.n_states})
                 return Nfh(table.sigma, candidate.prefix, final)
             counterexample, positive = answer
@@ -348,11 +348,11 @@ class AutomatedTeacher:
             if result is None:
                 result = piece
             elif use_union:
-                result = result.union(piece).determinize().minimize()
+                result = result.union(piece).minimize()
             else:
-                result = result.intersect(piece).determinize().minimize()
+                result = result.intersect(piece).minimize()
         assert result is not None
-        return result.determinize().minimize()
+        return result.minimize()
 
     def equivalent(self, candidate: Nfh) -> Optional[tuple[Hyperword, bool]]:
         if candidate.sigma != self.sigma:

@@ -185,10 +185,6 @@ def lift(w: ZipWord, new_arity: int) -> ZipWord:
     return ZipWord(new_arity, letters)
 
 
-def letter_concat(l1: Letter, l2: Letter) -> Letter:
-    return l1 + l2
-
-
 def all_letters(sigma: Iterable[str], arity: int, with_pad: bool = True) -> list[Letter]:
     """Every arity-tuple over sigma (plus the pad token), in canonical order."""
     import itertools

@@ -194,6 +194,21 @@ def connected_graphs(n: int) -> list[list[tuple[int, int]]]:
     return out
 
 
+def random_connected_graph(
+    rng: random.Random, n: int, p: float
+) -> list[tuple[int, int]]:
+    """Random spanning tree on 1..n plus each remaining pair with chance p."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    edges = {
+        tuple(sorted((order[i], rng.choice(order[:i])))) for i in range(1, n)
+    }
+    for pair in itertools.combinations(range(1, n + 1), 2):
+        if pair not in edges and rng.random() < p:
+            edges.add(pair)
+    return sorted(edges)
+
+
 # ------------------------------------------------- backtracking HRE matcher
 
 def hre_match(node, letters: Sequence[Letter], sigma: Sequence[str]) -> bool:

@@ -90,6 +90,23 @@ def test_member_rejects_foreign_symbols(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_member_long_word_past_the_cutover(tmp_path, capsys):
+    # for all x1, x2: one word is a prefix of the other; 17 words make
+    # 17^2 assignments, so the block is searched along a 2,000-letter zip
+    letters = ["(a,a)", "(b,b)", "(a,#)", "(b,#)", "(#,a)", "(#,b)"]
+    text = "nfh k=2 sigma=a,b prefix=AA\nstate 0 init accept\n"
+    text += "".join(f"trans 0 {l} 0\n" for l in letters)
+    nfh = write(tmp_path / "prefixes.nfh", text)
+    words = ["a" * i for i in range(16)] + ["a" * 2000]
+    assert len(words) ** 2 > hfa.MEMBER_SEARCH_CUTOVER
+    chain = write(tmp_path / "chain.hw", "\n".join(words) + "\n")
+    code, out, _ = run_cli(["member", nfh, chain], capsys)
+    assert (code, out) == (0, "true\n")
+    forked = write(tmp_path / "forked.hw", "\n".join(words + ["b"]) + "\n")
+    code, out, _ = run_cli(["member", nfh, forked], capsys)
+    assert (code, out) == (1, "false\n")
+
+
 # ------------------------------------------------------------------- empty
 
 def test_empty_witness_and_verdict(tmp_path, capsys):

@@ -83,6 +83,56 @@ def test_member_matches_brute_force_small_sample():
             assert hfa.member(nfh, Hyperword.of(words)) == oracles.brute_member(nfh, words)
 
 
+def _count_searches(monkeypatch):
+    calls = []
+    search = hfa._search_member
+
+    def counted(nfh, words, outer):
+        calls.append(nfh.prefix)
+        return search(nfh, words, outer)
+
+    monkeypatch.setattr(hfa, "_search_member", counted)
+    return calls
+
+
+def test_member_search_matches_brute_force_on_every_prefix(monkeypatch):
+    # |S| <= 7 and k <= 4 rarely pass the cutover, so force the search onto
+    # every query and check it for each prefix shape
+    calls = _count_searches(monkeypatch)
+    monkeypatch.setattr(hfa, "MEMBER_SEARCH_CUTOVER", 0)
+    rng = random.Random(61)
+    nonempty = oracles.all_words("ab", 4)[1:]
+    verdicts = {}
+    for k in (3, 4):
+        for prefix in itertools.product((A, E), repeat=k):
+            for _ in range(3):
+                nfh = oracles.random_nfh(
+                    rng, fixed_prefix=prefix, density=rng.choice((0.1, 0.3))
+                )
+                # the dual acceptor turns the rare false verdicts of purely
+                # existential acceptors into true verdicts of universal ones
+                for acc in (nfh, hfa.complement(nfh)):
+                    for _ in range(3):
+                        words = [()] + rng.sample(nonempty, rng.randint(3, 6))
+                        got = hfa.member(acc, Hyperword.of(words))
+                        assert got == oracles.brute_member(acc, words), (acc.prefix, words)
+                        kinds = set(acc.prefix)
+                        shape = "A" if kinds == {A} else "E" if kinds == {E} else "AE"
+                        verdicts.setdefault(shape, set()).add(got)
+    assert len(calls) == (8 + 16) * 3 * 2 * 3
+    assert verdicts == {"A": {False, True}, "E": {False, True}, "AE": {False, True}}
+
+
+def test_member_search_runs_past_the_cutover(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    nfh = oracles.random_nfh(random.Random(71), fixed_prefix=(A, E, E))
+    words = [(), ("a",), ("b",)] + list(itertools.product("ab", repeat=4))[:13]
+    assert len(words) ** 2 == hfa.MEMBER_SEARCH_CUTOVER
+    for hw_words in (words, words + [("b", "b", "b")]):
+        assert hfa.member(nfh, Hyperword.of(hw_words)) == oracles.brute_member(nfh, hw_words)
+    assert calls == [(A, E, E)]
+
+
 # ------------------------------------------------------------- Boolean ops
 
 def test_complement_of_universal_rejects_everything():
@@ -380,6 +430,19 @@ def test_gen_hamiltonian_k4():
     edges = list(itertools.combinations(range(1, 5), 2))
     nfh, s = hfa.gen_hamiltonian(4, edges)
     assert hfa.member(nfh, s)
+
+
+def test_gen_hamiltonian_random_graphs_match_oracle():
+    rng = random.Random(67)
+    verdicts = set()
+    for n in (6, 7, 8):
+        for _ in range(8):
+            edges = oracles.random_connected_graph(rng, n, 0.35)
+            nfh, s = hfa.gen_hamiltonian(n, edges)
+            want = oracles.ham_cycle_through_v1(n, edges)
+            assert hfa.member(nfh, s) == want, (n, edges)
+            verdicts.add(want)
+    assert verdicts == {False, True}
 
 
 def test_gen_hamiltonian_invalid():
