@@ -3,7 +3,8 @@
 States are dense ints [0..n).  Letters are any hashable values (plain
 symbols for ordinary automata, symbol tuples for zip encodings); iteration
 order is always the sorted alphabet so every construction is deterministic.
-No epsilon transitions anywhere.
+A TupleAlphabet is kept as given, so its letters are built only by the
+constructions that visit every letter.  No epsilon transitions anywhere.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from functools import cached_property
 from typing import Callable, Hashable, Iterable, Optional
 
 from .errors import AlphabetMismatch, InvalidArity, UnknownLetter
+from .zipwords import TupleAlphabet
 
 LetterT = Hashable
 StepFilter = Callable[[Optional[LetterT], LetterT], bool]
@@ -29,8 +31,11 @@ class Fa:
         accepting: Iterable[int],
         transitions: Iterable[tuple[int, LetterT, int]],
     ):
-        self.alphabet = tuple(sorted(set(alphabet)))
-        self._alphabet_set = frozenset(self.alphabet)
+        if isinstance(alphabet, TupleAlphabet):
+            self.alphabet = self._alphabet_set = alphabet
+        else:
+            self.alphabet = tuple(sorted(set(alphabet)))
+            self._alphabet_set = frozenset(self.alphabet)
         self.n_states = n_states
         self.initial = frozenset(initial)
         self.accepting = frozenset(accepting)
@@ -39,11 +44,14 @@ class Fa:
             if not 0 <= q < n_states:
                 raise InvalidArity(f"state {q} outside [0..{n_states})")
         step: dict[tuple[int, LetterT], list[int]] = {}
+        checked: set[LetterT] = set()
         for q, a, r in self.transitions:
             if not (0 <= q < n_states and 0 <= r < n_states):
                 raise InvalidArity(f"transition {(q, a, r)} uses unknown state")
-            if a not in self._alphabet_set:
-                raise UnknownLetter(f"transition letter {a!r} outside the alphabet")
+            if a not in checked:
+                if a not in self._alphabet_set:
+                    raise UnknownLetter(f"transition letter {a!r} outside the alphabet")
+                checked.add(a)
             step.setdefault((q, a), []).append(r)
         self._step = {k: tuple(sorted(v)) for k, v in step.items()}
 
@@ -61,6 +69,10 @@ class Fa:
     def step(self, states: frozenset[int], letter: LetterT) -> frozenset[int]:
         if letter not in self._alphabet_set:
             raise UnknownLetter(f"letter {letter!r} outside the alphabet")
+        return self._post(states, letter)
+
+    def _post(self, states: Iterable[int], letter: LetterT) -> frozenset[int]:
+        """step without the alphabet check, for letters known to belong."""
         out: set[int] = set()
         for q in states:
             out.update(self._step.get((q, letter), ()))
@@ -123,7 +135,7 @@ class Fa:
             subset = queue.popleft()
             sid = ids[subset]
             for letter in self.alphabet:
-                nxt = self.step(subset, letter) if subset else frozenset()
+                nxt = self._post(subset, letter)
                 if nxt not in ids:
                     ids[nxt] = len(order)
                     order.append(nxt)
@@ -256,7 +268,8 @@ class Fa:
         letters (transition iff any image letter has one).  Hence the result
         accepts w iff this automaton accepts some letterwise image of w.
         """
-        new_alphabet = tuple(sorted(set(new_alphabet)))
+        if not isinstance(new_alphabet, TupleAlphabet):
+            new_alphabet = tuple(new_alphabet)
         trans: list[tuple[int, LetterT, int]] = []
         by_letter: dict[LetterT, list[tuple[int, int]]] = {}
         for q, a, r in self.transitions:
@@ -295,6 +308,8 @@ class Fa:
 
     def __repr__(self) -> str:
         return (
-            f"Fa(states={self.n_states}, letters={len(self.alphabet)}, "
+            # __len__ itself: len() rejects counts above sys.maxsize, which a
+            # tuple alphabet of arity 40 already exceeds
+            f"Fa(states={self.n_states}, letters={self.alphabet.__len__()}, "
             f"transitions={len(self.transitions)})"
         )

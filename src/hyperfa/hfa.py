@@ -47,7 +47,6 @@ from .zipwords import (
     parse_word,
     unzip,
     word_text,
-    zip_words,
 )
 
 DEFAULT_MAX_K = 4
@@ -113,8 +112,7 @@ class Nfh:
         if not self.prefix:
             raise InvalidArity("at least one quantifier is required")
         self.k = len(self.prefix)
-        expected = tuple(all_letters(self.sigma, self.k))
-        if underlying.alphabet != expected:
+        if underlying.alphabet != all_letters(self.sigma, self.k):
             raise AlphabetMismatch(
                 "underlying alphabet must be every arity-k tuple over sigma plus pad"
             )
@@ -138,9 +136,8 @@ def make_nfh(
     transitions: Iterable[tuple[int, Letter, int]],
 ) -> Nfh:
     sigma = tuple(sorted(set(sigma)))
-    alphabet = all_letters(sigma, len(tuple(prefix)))
-    if len(alphabet) > 500_000:
-        raise ResourceLimit("tuple alphabet too large to materialize")
+    prefix = tuple(prefix)
+    alphabet = all_letters(sigma, len(prefix))
     return Nfh(sigma, prefix, Fa(alphabet, n_states, initial, accepting, transitions))
 
 
@@ -266,9 +263,25 @@ def member(nfh: Nfh, hw: Hyperword) -> bool:
         if len(words) ** (k - outer) > MEMBER_SEARCH_CUTOVER:
             return _search_member(nfh, words, outer)
 
+    # a chosen tuple is run letter by letter on words padded to a common width
+    step = underlying._step
+    accepting = underlying.accepting
+    width = max(map(len, words))
+    padded = {w: w + (PAD,) * (width - len(w)) for w in words}
+
     def rec(i: int, chosen: tuple[Word, ...]) -> bool:
         if i == k:
-            return underlying.accepts(zip_words(chosen).letters)
+            states = underlying.initial
+            letters = zip(*(padded[w] for w in chosen))
+            for _ in range(max(map(len, chosen))):
+                letter = next(letters)
+                nxt: set[int] = set()
+                for q in states:
+                    nxt.update(step.get((q, letter), ()))
+                if not nxt:
+                    return False
+                states = nxt
+            return not accepting.isdisjoint(states)
         if prefix[i] is Quantifier.EXISTS:
             return any(rec(i + 1, chosen + (w,)) for w in words)
         return all(rec(i + 1, chosen + (w,)) for w in words)

@@ -93,7 +93,7 @@ class ObservationTable:
         self.teacher = teacher
         self.sigma = tuple(sorted(set(sigma)))
         self.k = k
-        self.letters = tuple(all_letters(self.sigma, k))
+        self.letters = all_letters(self.sigma, k)
         self.rows: list[ZipWord] = [ZipWord(k, ())]
         self.columns: list[ZipWord] = [ZipWord(k, ())]
         self.trace = trace

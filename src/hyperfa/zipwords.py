@@ -11,11 +11,13 @@ string "#"; it is never a member of any declared alphabet.
 
 from __future__ import annotations
 
+import itertools
 import re
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Optional
 
-from .errors import IllegalZipWord, IndexOutOfRange, InvalidArity
+from .errors import IllegalZipWord, IndexOutOfRange, InvalidArity, ResourceLimit
 
 PAD = "#"
 
@@ -185,9 +187,65 @@ def lift(w: ZipWord, new_arity: int) -> ZipWord:
     return ZipWord(new_arity, letters)
 
 
-def all_letters(sigma: Iterable[str], arity: int, with_pad: bool = True) -> list[Letter]:
-    """Every arity-tuple over sigma (plus the pad token), in canonical order."""
-    import itertools
+# Materializing a tuple alphabet above this many letters raises ResourceLimit.
+MAX_LETTERS = 500_000
 
-    symbols = sorted(set(sigma) | ({PAD} if with_pad else set()))
-    return [tuple(t) for t in itertools.product(symbols, repeat=arity)]
+
+class TupleAlphabet(Sequence):
+    """Every arity-tuple over symbols, in canonical (sorted) order.
+
+    The value is the pair (symbols, arity): len and `in` are arithmetic, and
+    equality with another TupleAlphabet compares the pair.  The letters are
+    built on first iteration or indexing, at most MAX_LETTERS of them, and
+    kept; equality with a plain tuple or list compares letters.
+    """
+
+    def __init__(self, symbols: Iterable[str], arity: int):
+        self.symbols = tuple(sorted(set(symbols)))
+        self.arity = arity
+        self._symbol_set = frozenset(self.symbols)
+        self._size = len(self.symbols) ** arity
+        self._letters: Optional[tuple[Letter, ...]] = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __contains__(self, letter: object) -> bool:
+        return (
+            type(letter) is tuple
+            and len(letter) == self.arity
+            and self._symbol_set.issuperset(letter)
+        )
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        if self._letters is None:
+            if self._size > MAX_LETTERS:
+                raise ResourceLimit(
+                    f"tuple alphabet of {self._size} letters exceeds the cap of {MAX_LETTERS}"
+                )
+            self._letters = tuple(itertools.product(self.symbols, repeat=self.arity))
+        return self._letters
+
+    def __iter__(self) -> Iterator[Letter]:
+        return iter(self.letters)
+
+    def __getitem__(self, index):
+        return self.letters[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TupleAlphabet):
+            return (self.symbols, self.arity) == (other.symbols, other.arity)
+        if isinstance(other, (tuple, list)):
+            return len(other) == self._size and self.letters == tuple(other)
+        return NotImplemented
+
+    __hash__ = None  # equal to plain sequences, which hash differently
+
+    def __repr__(self) -> str:
+        return f"TupleAlphabet({self.symbols!r}, {self.arity})"
+
+
+def all_letters(sigma: Iterable[str], arity: int, with_pad: bool = True) -> TupleAlphabet:
+    """Every arity-tuple over sigma (plus the pad token), in canonical order."""
+    return TupleAlphabet(set(sigma) | ({PAD} if with_pad else set()), arity)

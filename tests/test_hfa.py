@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -11,6 +13,7 @@ from hyperfa.errors import (
     InvalidGraph,
     InvalidInterleaving,
     ResourceLimit,
+    UnknownLetter,
     Unsupported,
     WrongFragment,
 )
@@ -445,6 +448,21 @@ def test_gen_hamiltonian_random_graphs_match_oracle():
     assert verdicts == {False, True}
 
 
+@pytest.mark.parametrize("family, want", [("ring", True), ("path", False)])
+def test_gen_hamiltonian_sixteen_vertices(family, want):
+    # 3^16 tuple letters: neither building nor deciding may list them
+    n = 16
+    edges = [(i, i + 1) for i in range(1, n)] + ([(n, 1)] if family == "ring" else [])
+    start = time.perf_counter()
+    nfh, s = hfa.gen_hamiltonian(n, edges)
+    built = time.perf_counter()
+    assert hfa.member(nfh, s) is want
+    decided = time.perf_counter()
+    assert len(nfh.underlying.alphabet) == 3 ** 16
+    assert built - start < 0.1
+    assert decided - built < 1.0
+
+
 def test_gen_hamiltonian_invalid():
     with pytest.raises(InvalidGraph):
         hfa.gen_hamiltonian(1, [])
@@ -460,6 +478,62 @@ def test_arity_cap_enforced():
         hfa.complement(big)
     with pytest.raises(ResourceLimit):
         hfa.union(big, big)
+
+
+def k14_header(prefix, body):
+    return f"nfh k=14 sigma=a,b prefix={prefix}\n{body}"
+
+
+ALL_A = "(" + ",".join("a" * 14) + ")"
+
+
+@pytest.mark.parametrize(
+    "text, member_wants, nonempty_wants",
+    [
+        # nonemptiness must search the letters, which exceed the cap
+        (k14_header("E" * 14, f"state 0 init\nstate 1 accept\ntrans 0 {ALL_A} 1\n"),
+         True, ResourceLimit),
+        # the empty word is accepted, so no letter is read
+        (k14_header("A" * 14, "state 0 init accept\n"), False, hw("")),
+        (k14_header("E" * 7 + "A" * 7, "state 0 init accept\n"), False, ResourceLimit),
+    ],
+)
+def test_wide_header_is_cheap(text, member_wants, nonempty_wants):
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        nfh = hfa.parse_nfh(text)
+        assert hfa.format_nfh(nfh) == text
+        assert hfa.member(nfh, hw("a", "b")) is member_wants
+        try:
+            got = hfa.nonempty_exists_forall(nfh)
+        except ResourceLimit as exc:
+            got = ResourceLimit
+            assert "exceeds the cap of" in str(exc)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == nonempty_wants
+    assert elapsed < 0.05
+    assert peak < 50e6
+
+
+def test_acceptor_of_arity_forty_builds_and_prints():
+    letter = ("a",) * 39 + (PAD,)
+    nfh = hfa.make_nfh("ab", [E] * 40, 2, [0], [1], [(0, letter, 1)])
+    assert hfa.member(nfh, hw("a", "")) and not hfa.member(nfh, hw("b", ""))
+    assert f"letters={3 ** 40}," in repr(nfh)
+    assert hfa.parse_nfh(hfa.format_nfh(nfh)).underlying.transitions == ((0, letter, 1),)
+
+
+def test_transition_letters_outside_the_tuple_alphabet():
+    hfa.make_nfh("ab", (E, E), 1, [0], [0], [(0, ("a", PAD), 0)])
+    for letter in [("a",), ("a", "b", "a"), ("a", "c"), ("#a", "b"), "ab"]:
+        with pytest.raises(UnknownLetter):
+            hfa.make_nfh("ab", (E, E), 1, [0], [0], [(0, letter, 0)])
+    with pytest.raises(UnknownLetter):
+        hfa.parse_nfh("nfh k=2 sigma=a,b prefix=EE\nstate 0 init\ntrans 0 (a,c) 0\n")
 
 
 # ------------------------------------------------------------ wire formats

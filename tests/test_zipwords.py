@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperfa.errors import IllegalZipWord, IndexOutOfRange, InvalidArity
+from hyperfa.errors import IllegalZipWord, IndexOutOfRange, InvalidArity, ResourceLimit
 from hyperfa.zipwords import (
     PAD,
     IndexSequence,
@@ -139,6 +141,54 @@ def test_all_letters_order_and_size():
     assert letters[0] == (PAD, PAD)
     assert letters == sorted(letters)
     assert all_letters(("a",), 1, with_pad=False) == [("a",)]
+
+
+def listed_letters(sigma, arity, with_pad=True):
+    # the alphabet as a plain list, built the way it was before it became lazy
+    symbols = sorted(set(sigma) | ({PAD} if with_pad else set()))
+    return [tuple(t) for t in itertools.product(symbols, repeat=arity)]
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+@pytest.mark.parametrize("sigma", ["ab", "abc", ("x1", "y")])
+def test_lazy_alphabet_behaves_like_the_listed_one(sigma, arity):
+    for with_pad in (True, False):
+        lazy = all_letters(sigma, arity, with_pad)
+        listed = listed_letters(sigma, arity, with_pad)
+        assert len(lazy) == len(listed)
+        assert list(lazy) == listed
+        assert [lazy[i] for i in range(-len(listed), len(listed))] == listed + listed
+        assert lazy[1:-1] == tuple(listed[1:-1])
+        with pytest.raises(IndexError):
+            lazy[len(listed)]
+        assert lazy == listed and listed == lazy
+        assert lazy == tuple(listed) and tuple(listed) == lazy
+        assert lazy != listed[:-1] and lazy != listed[::-1]
+        assert lazy == all_letters(sigma, arity, with_pad)
+        assert lazy != all_letters(sigma, arity + 1, with_pad)
+        assert lazy != all_letters(tuple(sigma) + ("z",), arity, with_pad)
+        assert all(letter in lazy for letter in listed)
+        assert lazy.index(listed[-1]) == len(listed) - 1
+        outside = [
+            listed[0][:-1],
+            listed[0] + listed[0][:1],
+            ("q",) + listed[0][1:],
+            list(listed[0]),
+            "".join(listed[0]),
+        ]
+        assert not any(letter in lazy for letter in outside)
+    assert (PAD,) * arity not in all_letters(sigma, arity, with_pad=False)
+
+
+def test_lazy_alphabet_is_not_built_until_iterated():
+    big = all_letters("ab", 12)
+    assert len(big) == 3 ** 12
+    assert ("a",) * 11 + (PAD,) in big
+    assert big == all_letters("ba", 12)
+    with pytest.raises(ResourceLimit, match="tuple alphabet of 531441 letters exceeds the cap of 500000"):
+        list(big)
+    with pytest.raises(ResourceLimit):
+        big[0]
 
 
 words_st = st.lists(
