@@ -25,10 +25,11 @@ from .hfa import (
     Nfh,
     _require_cap,
     pad_normalize,
+    selection_closure,
     sequence_remap,
     zip_filter_fa,
 )
-from .zipwords import IndexSequence, ZipWord, all_letters
+from .zipwords import IndexSequence, ZipWord
 
 DEFAULT_CLOSURE_MAX_K = 3
 
@@ -43,29 +44,12 @@ def _all_sequences(k: int):
     return itertools.product(range(1, k + 1), repeat=k)
 
 
-def _closure_fa(nfh: Nfh, seqs, combine_union: bool) -> Fa:
-    alphabet = nfh.underlying.alphabet
-    base = pad_normalize(nfh.underlying, nfh.k)
-    result: Optional[Fa] = None
-    for seq in seqs:
-        piece = sequence_remap(base, seq, alphabet)
-        if result is None:
-            result = piece
-        elif combine_union:
-            result = result.union(piece).minimize()
-        else:
-            result = result.intersect(piece).minimize()
-    assert result is not None
-    return result
-
-
 def sequence_closure(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K) -> Nfh:
     """Intersection over all k^k track selections; hyperlanguage unchanged."""
     if nfh.fragment is not Fragment.FORALL_ONLY:
         raise WrongFragment("sequence closure applies to universal acceptors")
     _require_cap(nfh.k, max_k)
-    closed = _closure_fa(nfh, _all_sequences(nfh.k), combine_union=False)
-    return Nfh(nfh.sigma, nfh.prefix, closed.minimize())
+    return Nfh(nfh.sigma, nfh.prefix, selection_closure(nfh, _all_sequences(nfh.k), nfh.k))
 
 
 def permutation_closure(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K) -> Nfh:
@@ -74,8 +58,7 @@ def permutation_closure(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K) -> Nfh:
         raise WrongFragment("permutation closure applies to existential acceptors")
     _require_cap(nfh.k, max_k)
     perms = itertools.permutations(range(1, nfh.k + 1))
-    closed = _closure_fa(nfh, perms, combine_union=True)
-    return Nfh(nfh.sigma, nfh.prefix, closed.minimize())
+    return Nfh(nfh.sigma, nfh.prefix, selection_closure(nfh, perms, nfh.k))
 
 
 def check_complete(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K + 1) -> CompletenessReport:
@@ -117,13 +100,8 @@ def check_complete(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K + 1) -> Complete
 
 
 def _canonical_fa(nfh: Nfh) -> Fa:
-    closed = _closure_fa(
-        nfh,
-        _all_sequences(nfh.k),
-        combine_union=nfh.fragment is Fragment.EXISTS_ONLY,
-    )
-    trimmed = closed.intersect(zip_filter_fa(nfh.sigma, nfh.k))
-    return trimmed.minimize()
+    closed = selection_closure(nfh, _all_sequences(nfh.k), nfh.k)
+    return closed.intersect(zip_filter_fa(nfh.sigma, nfh.k)).minimize()
 
 
 def canonical_equal(a1: Nfh, a2: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K) -> bool:

@@ -9,6 +9,7 @@ constructions that visit every letter.  No epsilon transitions anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Optional
@@ -39,21 +40,21 @@ class Fa:
         self.n_states = n_states
         self.initial = frozenset(initial)
         self.accepting = frozenset(accepting)
-        self.transitions = tuple(sorted(set(transitions)))
         for q in self.initial | self.accepting:
             if not 0 <= q < n_states:
                 raise InvalidArity(f"state {q} outside [0..{n_states})")
+        transitions = set(transitions)
+        # letters first: sorting a letter of the wrong type raises TypeError
+        bad = [a for a in {t[1] for t in transitions} if a not in self._alphabet_set]
+        if bad:
+            raise UnknownLetter(f"transition letter {min(bad, key=repr)!r} outside the alphabet")
+        self.transitions = tuple(sorted(transitions))
         step: dict[tuple[int, LetterT], list[int]] = {}
-        checked: set[LetterT] = set()
         for q, a, r in self.transitions:
             if not (0 <= q < n_states and 0 <= r < n_states):
                 raise InvalidArity(f"transition {(q, a, r)} uses unknown state")
-            if a not in checked:
-                if a not in self._alphabet_set:
-                    raise UnknownLetter(f"transition letter {a!r} outside the alphabet")
-                checked.add(a)
             step.setdefault((q, a), []).append(r)
-        self._step = {k: tuple(sorted(v)) for k, v in step.items()}
+        self._step = {k: tuple(v) for k, v in step.items()}
 
     @cached_property
     def _out(self) -> dict[int, list[tuple[LetterT, int]]]:
@@ -103,20 +104,21 @@ class Fa:
             if q in self.accepting:
                 return ()
             queue.append(node)
+        trans = self.transitions
         while queue:
             q, last = queue.popleft()
             base = parent[(q, last)]
-            for letter in self.alphabet:
+            # sorted by (state, letter, target): q's out-edges are one slice
+            for _q, letter, r in trans[bisect_left(trans, (q,)):bisect_left(trans, (q + 1,))]:
                 if step_ok is not None and not step_ok(last, letter):
                     continue
-                for r in self._step.get((q, letter), ()):
-                    node = (r, letter)
-                    if node in parent:
-                        continue
-                    parent[node] = base + (letter,)
-                    if r in self.accepting:
-                        return parent[node]
-                    queue.append(node)
+                node = (r, letter)
+                if node in parent:
+                    continue
+                parent[node] = base + (letter,)
+                if r in self.accepting:
+                    return parent[node]
+                queue.append(node)
         return None
 
     def is_empty(self) -> bool:
@@ -150,60 +152,35 @@ class Fa:
         return Fa(det.alphabet, det.n_states, det.initial, accepting, det.transitions)
 
     def minimize(self) -> "Fa":
-        """Determinize, then merge Myhill-Nerode-equivalent states (Hopcroft)."""
+        """Determinize, then merge Myhill-Nerode-equivalent states by Moore
+        refinement; blocks are numbered in BFS order from the initial block,
+        so automata with equal languages come out identical."""
         det = self.determinize()
-        accepting = set(det.accepting)
-        rest = set(range(det.n_states)) - accepting
-        partition: list[set[int]] = [s for s in (accepting, rest) if s]
-        worklist: list[set[int]] = [min(partition, key=len)] if len(partition) > 1 else []
-        pre: dict[tuple[LetterT, int], set[int]] = {}
-        for q, a, r in det.transitions:
-            pre.setdefault((a, r), set()).add(q)
-        while worklist:
-            splitter = worklist.pop()
-            for letter in det.alphabet:
-                x = set()
-                for r in splitter:
-                    x |= pre.get((letter, r), set())
-                new_partition = []
-                for block in partition:
-                    inter = block & x
-                    diff = block - x
-                    if inter and diff:
-                        new_partition += [inter, diff]
-                        if block in worklist:
-                            worklist.remove(block)
-                            worklist += [inter, diff]
-                        else:
-                            worklist.append(min(inter, diff, key=len))
-                    else:
-                        new_partition.append(block)
-                partition = new_partition
-        block_of = {}
-        for idx, block in enumerate(partition):
-            for q in block:
-                block_of[q] = idx
-        # renumber blocks in BFS order from the initial block for determinism
-        init_block = block_of[next(iter(det.initial))]
-        rename = {init_block: 0}
-        order = deque([init_block])
-        trans_by_block = {}
-        for q, a, r in det.transitions:
-            trans_by_block[(block_of[q], a)] = block_of[r]
-        while order:
-            b = order.popleft()
-            for letter in det.alphabet:
-                t = trans_by_block[(b, letter)]
-                if t not in rename:
-                    rename[t] = len(rename)
-                    order.append(t)
-        trans = [
-            (rename[b], a, rename[t])
-            for (b, a), t in trans_by_block.items()
-            if b in rename
-        ]
-        accepting_blocks = {rename[block_of[q]] for q in det.accepting if block_of[q] in rename}
-        return Fa(det.alphabet, len(rename), [0], accepting_blocks, trans)
+        n, width = det.n_states, len(det.alphabet)
+        # complete and sorted by (state, letter): row q is q's successors
+        succ = [r for _q, _a, r in det.transitions]
+        rows = [succ[q * width:(q + 1) * width] for q in range(n)]
+        block = [int(q in det.accepting) for q in range(n)]
+        count = len(set(block))
+        while True:
+            # a state's new block: its block and its successors' blocks
+            ids: dict[tuple[int, ...], int] = {}
+            get = block.__getitem__
+            refined = [ids.setdefault((block[q], *map(get, rows[q])), len(ids)) for q in range(n)]
+            if len(ids) == count:
+                break
+            block, count = refined, len(ids)
+        rename = {block[0]: 0}
+        order = [0]  # one state per block, in BFS order
+        trans: list[tuple[int, LetterT, int]] = []
+        for q in order:
+            for letter, r in zip(det.alphabet, rows[q]):
+                if block[r] not in rename:
+                    rename[block[r]] = len(rename)
+                    order.append(r)
+                trans.append((rename[block[q]], letter, rename[block[r]]))
+        accepting = [rename[block[q]] for q in order if q in det.accepting]
+        return Fa(det.alphabet, len(rename), [0], accepting, trans)
 
     # --------------------------------------------------------- combinations
 

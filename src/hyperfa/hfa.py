@@ -213,6 +213,23 @@ def sequence_remap(fa: Fa, seq: Sequence[int], alphabet: Sequence[Letter]) -> Fa
     return fa.remap_letters(lambda l: tuple(l[i - 1] for i in seq), alphabet)
 
 
+def selection_closure(nfh: Nfh, seqs: Iterable[Sequence[int]], arity: int) -> Fa:
+    """Minimal DFA over arity-tuples: the union (existential acceptor) or the
+    intersection (otherwise) of the selections of the pad-normalized
+    underlying automaton through each 1-based track sequence in seqs."""
+    alphabet = all_letters(nfh.sigma, arity)
+    base = pad_normalize(nfh.underlying, nfh.k)
+    use_union = nfh.fragment is Fragment.EXISTS_ONLY
+    result: Optional[Fa] = None
+    for seq in seqs:
+        piece = sequence_remap(base, seq, alphabet)
+        if result is not None:
+            piece = result.union(piece) if use_union else result.intersect(piece)
+        result = piece.minimize()
+    assert result is not None
+    return result
+
+
 def zip_filter_fa(sigma: Iterable[str], k: int) -> Fa:
     """DFA of exact zip encodings: pad-monotone tracks, no all-pad letter."""
     sigma = tuple(sorted(set(sigma)))

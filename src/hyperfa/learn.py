@@ -40,8 +40,7 @@ from .hfa import (
     Quantifier,
     equivalent as hfa_equivalent,
     member as hfa_member,
-    pad_normalize,
-    sequence_remap,
+    selection_closure,
     zip_step,
 )
 from .zipwords import (
@@ -339,20 +338,8 @@ class AutomatedTeacher:
         track sets (union of selections for exists, intersection for forall)."""
         if size ** nfh.k > self.MAP_CAP:
             raise ResourceLimit("restriction map family too large")
-        alphabet = all_letters(self.sigma, size)
-        base = pad_normalize(nfh.underlying, nfh.k)
-        use_union = nfh.fragment is Fragment.EXISTS_ONLY
-        result: Optional[Fa] = None
-        for assignment in itertools.product(range(1, size + 1), repeat=nfh.k):
-            piece = sequence_remap(base, assignment, alphabet)
-            if result is None:
-                result = piece
-            elif use_union:
-                result = result.union(piece).minimize()
-            else:
-                result = result.intersect(piece).minimize()
-        assert result is not None
-        return result.minimize()
+        seqs = itertools.product(range(1, size + 1), repeat=nfh.k)
+        return selection_closure(nfh, seqs, size)
 
     def equivalent(self, candidate: Nfh) -> Optional[tuple[Hyperword, bool]]:
         if candidate.sigma != self.sigma:

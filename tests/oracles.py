@@ -65,6 +65,40 @@ def enumerate_language(fa: Fa, max_len: int) -> set[tuple]:
     return out
 
 
+def minimal_state_count(fa: Fa) -> int:
+    """States of the minimal complete DFA of L(fa): a subset construction by
+    transition-list scans, then pairwise table-filling."""
+    letters = list(fa.alphabet)
+    subsets = [frozenset(fa.initial)]
+    delta = {}
+    for i, s in enumerate(subsets):  # grows while it is walked
+        for l in letters:
+            t = frozenset(r for (q, sym, r) in fa.transitions if q in s and sym == l)
+            if t not in subsets:
+                subsets.append(t)
+            delta[(i, l)] = subsets.index(t)
+    n = len(subsets)
+    final = [bool(s & set(fa.accepting)) for s in subsets]
+    apart = {(p, q) for p in range(n) for q in range(n) if final[p] != final[q]}
+    changed = True
+    while changed:
+        changed = False
+        for p in range(n):
+            for q in range(n):
+                if (p, q) not in apart and any(
+                    (delta[(p, l)], delta[(q, l)]) in apart for l in letters
+                ):
+                    apart.add((p, q))
+                    changed = True
+    # one state per class: the first state of each class is apart from all before it
+    return sum(1 for p in range(n) if all((p, q) in apart for q in range(p)))
+
+
+def fa_shape(fa: Fa) -> tuple:
+    """Everything that distinguishes two automata over the same alphabet."""
+    return fa.n_states, fa.initial, fa.accepting, fa.transitions
+
+
 # ------------------------------------------------------ brute-force semantics
 
 def brute_member(nfh: hfa.Nfh, words: Iterable[Word]) -> bool:

@@ -62,6 +62,18 @@ def test_closure_idempotent():
         assert lang_upto(twice.underlying, 4) == lang_upto(once.underlying, 4)
 
 
+def test_closures_come_out_minimal():
+    for nfh, close in [
+        (compile_text("forall x1. forall x2. ([a,a]|[b,b])*([#,b]*|[b,#]*)"),
+         canon.sequence_closure),
+        (only_ab_nfh((A, A)), canon.sequence_closure),
+        (compile_text("exists x1. exists x2. ([a,b])*"), canon.permutation_closure),
+        (only_ab_nfh((E, E)), canon.permutation_closure),
+    ]:
+        closed = close(nfh).underlying
+        assert oracles.fa_shape(closed.minimize()) == oracles.fa_shape(closed)
+
+
 def test_closure_preserves_member_on_sweep():
     rng = random.Random(3)
     for _ in range(6):

@@ -202,15 +202,17 @@ def test_resource_limit_exits_4(tmp_path, capsys):
 def test_wide_header_empty_and_dot_exit_cleanly(tmp_path, capsys):
     all_a = "(" + ",".join("a" * 14) + ")"
     cases = [
-        ("E" * 14, f"state 0 init\nstate 1 accept\ntrans 0 {all_a} 1\n", 4),
-        ("A" * 14, "state 0 init accept\n", 0),
+        # the witness is found along the one transition, no letter is listed
+        ("E" * 14, f"state 0 init\nstate 1 accept\ntrans 0 {all_a} 1\n", 0, "a\n"),
+        ("A" * 14, "state 0 init accept\n", 0, "\n"),
+        ("E" * 7 + "A" * 7, "state 0 init accept\n", 4, ""),
     ]
-    for i, (prefix, body, empty_code) in enumerate(cases):
+    for i, (prefix, body, empty_code, empty_out) in enumerate(cases):
         path = write(tmp_path / f"k14-{i}.nfh", f"nfh k=14 sigma=a,b prefix={prefix}\n{body}")
-        code, _, err = run_cli(["empty", path], capsys)
-        assert code == empty_code and "Traceback" not in err
+        code, out, err = run_cli(["empty", path], capsys)
+        assert (code, out) == (empty_code, empty_out) and "Traceback" not in err
         if code == 4:
-            assert "exceeds the cap of 500000" in err
+            assert "arity 14 exceeds the cap of 4" in err
         code, out, err = run_cli(["dot", path], capsys)
         assert code == 0 and out.startswith("digraph") and not err
 

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 
@@ -179,6 +181,57 @@ def test_minimize_preserves_language():
     assert m.n_states <= a.determinize().n_states
     for w in words_upto("ab", 5):
         assert m.accepts(w) == a.accepts(w)
+
+
+def random_fa(rng, n, letters, density):
+    trans = [(q, a, r) for q in range(n) for a in letters for r in range(n)
+             if rng.random() < density]
+    initial = [q for q in range(n) if rng.random() < 0.3] or [0]
+    accepting = [q for q in range(n) if rng.random() < 0.4]
+    return Fa(letters, n, initial, accepting, trans)
+
+
+def random_dfa(rng, n, letters):
+    trans = [(q, a, rng.randrange(n)) for q in range(n) for a in letters]
+    return Fa(letters, n, [0], [q for q in range(n) if rng.random() < 0.5], trans)
+
+
+def test_minimize_state_count_matches_table_filling():
+    rng = random.Random(7)
+    for i in range(240):
+        letters = "abc"[: 1 + i % 3]
+        a = random_fa(rng, rng.randint(1, 6), letters, (0.1, 0.25, 0.5)[i // 3 % 3])
+        m = a.minimize()
+        assert m.n_states == oracles.minimal_state_count(a)
+        for w in words_upto(letters, 5):
+            assert m.accepts(w) == oracles.sim_accepts(a, w)
+
+
+def test_minimize_is_canonical():
+    # a relabelled copy, and the union with it, have the same language and
+    # must minimize to the identical automaton
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        dfa = random_dfa(rng, n, "abc"[: rng.randint(1, 3)])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabelled = Fa(dfa.alphabet, n, [perm[0]], [perm[q] for q in dfa.accepting],
+                        [(perm[q], a, perm[r]) for q, a, r in dfa.transitions])
+        want = oracles.fa_shape(dfa.minimize())
+        assert oracles.fa_shape(relabelled.minimize()) == want
+        assert oracles.fa_shape(dfa.union(relabelled).minimize()) == want
+
+
+def test_minimize_3000_state_dfa_is_fast():
+    rng = random.Random(5)
+    dfa = random_dfa(rng, 3000, "abcdefghi")
+    start = time.perf_counter()
+    m = dfa.minimize()
+    assert time.perf_counter() - start < 2.0
+    for _ in range(200):
+        w = [rng.choice("abcdefghi") for _ in range(rng.randint(0, 12))]
+        assert m.accepts(w) == dfa.accepts(w)
 
 
 def test_dot_export_mentions_all_parts():

@@ -490,9 +490,9 @@ ALL_A = "(" + ",".join("a" * 14) + ")"
 @pytest.mark.parametrize(
     "text, member_wants, nonempty_wants",
     [
-        # nonemptiness must search the letters, which exceed the cap
+        # nonemptiness follows the one transition, not the 3^14 letters
         (k14_header("E" * 14, f"state 0 init\nstate 1 accept\ntrans 0 {ALL_A} 1\n"),
-         True, ResourceLimit),
+         True, hw("a")),
         # the empty word is accepted, so no letter is read
         (k14_header("A" * 14, "state 0 init accept\n"), False, hw("")),
         (k14_header("E" * 7 + "A" * 7, "state 0 init accept\n"), False, ResourceLimit),
@@ -534,6 +534,9 @@ def test_transition_letters_outside_the_tuple_alphabet():
             hfa.make_nfh("ab", (E, E), 1, [0], [0], [(0, letter, 0)])
     with pytest.raises(UnknownLetter):
         hfa.parse_nfh("nfh k=2 sigma=a,b prefix=EE\nstate 0 init\ntrans 0 (a,c) 0\n")
+    # a string among tuple letters is caught before the transitions are sorted
+    with pytest.raises(UnknownLetter):
+        hfa.make_nfh("ab", (E, E), 1, [0], [0], [(0, ("a", "b"), 0), (0, "ab", 0)])
 
 
 # ------------------------------------------------------------ wire formats

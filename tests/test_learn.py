@@ -179,6 +179,15 @@ def test_teacher_minimal_counterexample_size_two():
     assert not teacher.member(hw)
 
 
+def test_teacher_restrictions_come_out_minimal():
+    for text in [A1_TEXT, A3_TEXT, "exists x1. exists x2. ([a,b])*"]:
+        target = compile_text(text)
+        teacher = learn.AutomatedTeacher(target)
+        for size in (1, 2, 3):
+            got = teacher._restriction(target, size)
+            assert oracles.fa_shape(got.minimize()) == oracles.fa_shape(got)
+
+
 def test_teacher_counterexamples_recheck_and_are_bounded():
     rng = random.Random(29)
     for _ in range(12):
