@@ -49,12 +49,18 @@ class Fa:
         if bad:
             raise UnknownLetter(f"transition letter {min(bad, key=repr)!r} outside the alphabet")
         self.transitions = tuple(sorted(transitions))
-        step: dict[tuple[int, LetterT], list[int]] = {}
         for q, a, r in self.transitions:
             if not (0 <= q < n_states and 0 <= r < n_states):
                 raise InvalidArity(f"transition {(q, a, r)} uses unknown state")
+
+    @cached_property
+    def _step(self) -> dict[tuple[int, LetterT], list[int]]:
+        """Targets of each (state, letter) pair that has any, built on first
+        use: many derived automata are read only through transitions."""
+        step: dict[tuple[int, LetterT], list[int]] = {}
+        for q, a, r in self.transitions:
             step.setdefault((q, a), []).append(r)
-        self._step = {k: tuple(v) for k, v in step.items()}
+        return step
 
     @cached_property
     def _out(self) -> dict[int, list[tuple[LetterT, int]]]:
@@ -64,6 +70,12 @@ class Fa:
         for q, a, r in self.transitions:
             out.setdefault(q, []).append((a, r))
         return out
+
+    def _edges(self, q: int) -> tuple[tuple[int, LetterT, int], ...]:
+        """q's transitions, without caching: sorted by (state, letter,
+        target), they are one slice of transitions."""
+        trans = self.transitions
+        return trans[bisect_left(trans, (q,)):bisect_left(trans, (q + 1,))]
 
     # ------------------------------------------------------------------ runs
 
@@ -104,12 +116,10 @@ class Fa:
             if q in self.accepting:
                 return ()
             queue.append(node)
-        trans = self.transitions
         while queue:
             q, last = queue.popleft()
             base = parent[(q, last)]
-            # sorted by (state, letter, target): q's out-edges are one slice
-            for _q, letter, r in trans[bisect_left(trans, (q,)):bisect_left(trans, (q + 1,))]:
+            for _q, letter, r in self._edges(q):
                 if step_ok is not None and not step_ok(last, letter):
                     continue
                 node = (r, letter)
@@ -191,31 +201,12 @@ class Fa:
     def intersect(self, other: "Fa") -> "Fa":
         """Reachable product automaton."""
         self._require_same_alphabet(other)
-        ids: dict[tuple[int, int], int] = {}
-        order: list[tuple[int, int]] = []
-        queue: deque[tuple[int, int]] = deque()
-        for q in sorted(self.initial):
-            for p in sorted(other.initial):
-                ids[(q, p)] = len(order)
-                order.append((q, p))
-                queue.append((q, p))
-        trans: list[tuple[int, LetterT, int]] = []
-        while queue:
-            q, p = queue.popleft()
-            sid = ids[(q, p)]
-            for letter in self.alphabet:
-                for q2 in self._step.get((q, letter), ()):
-                    for p2 in other._step.get((p, letter), ()):
-                        if (q2, p2) not in ids:
-                            ids[(q2, p2)] = len(order)
-                            order.append((q2, p2))
-                            queue.append((q2, p2))
-                        trans.append((sid, letter, ids[(q2, p2)]))
-        accepting = [
-            i for i, (q, p) in enumerate(order)
-            if q in self.accepting and p in other.accepting
-        ]
-        return Fa(self.alphabet, max(len(order), 1), [ids[(q, p)] for q in sorted(self.initial) for p in sorted(other.initial)], accepting, trans)
+        step = other._step
+
+        def moves(q: int, p: int) -> list[tuple[LetterT, int, int]]:
+            return [(a, q2, p2) for _q, a, q2 in self._edges(q) for p2 in step.get((p, a), ())]
+
+        return reachable_product(self, other, self.alphabet, moves)
 
     def union(self, other: "Fa") -> "Fa":
         """Disjoint union (other's states shifted by self.n_states)."""
@@ -290,3 +281,28 @@ class Fa:
             f"Fa(states={self.n_states}, letters={self.alphabet.__len__()}, "
             f"transitions={len(self.transitions)})"
         )
+
+
+def reachable_product(
+    a: Fa,
+    b: Fa,
+    alphabet: Iterable[LetterT],
+    moves: Callable[[int, int], Iterable[tuple[LetterT, int, int]]],
+) -> Fa:
+    """Automaton over alphabet whose states are the pairs (q, p) of a state
+    of a and a state of b reachable from the initial pairs, numbered in BFS
+    order.  moves(q, p) gives the (letter, q2, p2) steps leaving (q, p); a
+    pair accepts when both of its states accept."""
+    order = [(q, p) for q in sorted(a.initial) for p in sorted(b.initial)]
+    ids = {pair: i for i, pair in enumerate(order)}
+    n_initial = len(order)
+    trans: list[tuple[int, LetterT, int]] = []
+    for sid, (q, p) in enumerate(order):  # order grows as pairs are found
+        for letter, q2, p2 in moves(q, p):
+            nid = ids.get((q2, p2))
+            if nid is None:
+                nid = ids[(q2, p2)] = len(order)
+                order.append((q2, p2))
+            trans.append((sid, letter, nid))
+    accepting = [i for i, (q, p) in enumerate(order) if q in a.accepting and p in b.accepting]
+    return Fa(alphabet, max(len(order), 1), range(n_initial), accepting, trans)

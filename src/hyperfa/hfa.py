@@ -6,12 +6,14 @@ the quantifier prefix, ranging over S, is satisfied by zip-encoded
 assignments.  Decision procedures cover the alternation-free fragments and
 the exists*-forall* fragment.
 
-The remap-based constructions in this module first pass the underlying
-automaton through pad_normalize: acceptance of zip-encoded words is kept
-exactly, while trailing all-pad letters stop mattering.  Without this the
-letterwise track-selection images (which re-pad to the original length)
-would be compared against unpadded encodings and the procedures would
-disagree with member on concrete instances.
+The remap-based constructions and the Boolean products in this module
+first pass the underlying automaton through pad_normalize: acceptance of
+zip-encoded words is kept exactly, while trailing all-pad letters stop
+mattering.  Without this the letterwise track-selection images (which
+re-pad to the original length) would be compared against unpadded
+encodings and the procedures would disagree with member on concrete
+instances; in union and intersect the pad tail is what lets one side idle
+once its word tuple has ended.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -35,7 +38,7 @@ from .errors import (
     Unsupported,
     WrongFragment,
 )
-from .fa import Fa
+from .fa import Fa, reachable_product
 from .zipwords import (
     PAD,
     Letter,
@@ -171,22 +174,6 @@ def pad_normalize(fa: Fa, arity: int) -> Fa:
     trans += [(q, pad, tail) for q in sorted(fa.accepting)]
     trans.append((tail, pad, tail))
     return Fa(fa.alphabet, fa.n_states + 1, fa.initial, set(fa.accepting) | {tail}, trans)
-
-
-def _drop_all_pad(fa: Fa, arity: int) -> Fa:
-    """Remove transitions on the all-pad letter.
-
-    Exact zip encodings never contain it, so acceptance of encodings is
-    unchanged; product constructions rely on this so a component cannot run
-    past the end of its own word tuple through leftover pad moves."""
-    pad = (PAD,) * arity
-    return Fa(
-        fa.alphabet,
-        fa.n_states,
-        fa.initial,
-        fa.accepting,
-        [t for t in fa.transitions if t[1] != pad],
-    )
 
 
 def pad_accept(fa: Fa, arity: int) -> Fa:
@@ -456,40 +443,28 @@ def complement(nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> Nfh:
 
 
 def union(a1: Nfh, a2: Nfh, max_k: int = DEFAULT_MAX_K) -> Nfh:
-    """Fan both underlying automata out over the combined tuple alphabet.
+    """Fan both pad-normalized underlying automata out over the combined
+    tuple alphabet.
 
-    Each side keeps running on its own components; two extra pad states let
-    the side that accepted first idle while the other still reads symbols.
+    Each side keeps running on its own components; its pad tail lets the
+    side that accepted first idle while the other still reads symbols.
     """
     if a1.sigma != a2.sigma:
         raise AlphabetMismatch("union requires identical alphabets")
     k = a1.k + a2.k
     _require_cap(k, max_k)
-    u1 = _drop_all_pad(a1.underlying, a1.k)
-    u2 = _drop_all_pad(a2.underlying, a2.k)
-    side2 = all_letters(a1.sigma, a2.k)
+    n1 = pad_normalize(a1.underlying, a1.k)
+    n2 = pad_normalize(a2.underlying, a2.k)
     side1 = all_letters(a1.sigma, a1.k)
-    off = u1.n_states
-    p1 = off + u2.n_states
-    p2 = p1 + 1
-    pad1 = (PAD,) * a1.k
-    pad2 = (PAD,) * a2.k
-    trans: list[tuple[int, Letter, int]] = []
-    for q, l, r in u1.transitions:
-        trans += [(q, l + t, r) for t in side2]
-    for q, l, r in u2.transitions:
-        trans += [(q + off, t + l, r + off) for t in side1]
-    for q in sorted(u1.accepting):
-        trans += [(q, pad1 + t, p1) for t in side2]
-    trans += [(p1, pad1 + t, p1) for t in side2]
-    for q in sorted(u2.accepting):
-        trans += [(q + off, t + pad2, p2) for t in side1]
-    trans += [(p2, t + pad2, p2) for t in side1]
+    side2 = all_letters(a1.sigma, a2.k)
+    off = n1.n_states
+    trans = [(q, l + t, r) for q, l, r in n1.transitions for t in side2]
+    trans += [(q + off, t + l, r + off) for q, l, r in n2.transitions for t in side1]
     underlying = Fa(
         all_letters(a1.sigma, k),
-        p2 + 1,
-        list(u1.initial) + [q + off for q in u2.initial],
-        list(u1.accepting) + [q + off for q in u2.accepting] + [p1, p2],
+        off + n2.n_states,
+        [*n1.initial, *(q + off for q in n2.initial)],
+        [*n1.accepting, *(q + off for q in n2.accepting)],
         trans,
     )
     return Nfh(a1.sigma, a1.prefix + a2.prefix, underlying)
@@ -512,8 +487,9 @@ def intersect(
     interleaving: Optional[Sequence[int]] = None,
     max_k: int = DEFAULT_MAX_K,
 ) -> Nfh:
-    """Synchronous product; a sink per side consumes pad blocks after that
-    side's word tuple has ended.
+    """Reachable synchronous product of the pad-normalized underlying
+    automata; a side whose word tuple has ended reads pad blocks in its pad
+    tail, and the all-pad letter is never read.
 
     interleaving is a 0/1 pattern (default: all of a1 then all of a2) saying
     which side each combined variable comes from; both internal orders are
@@ -524,49 +500,20 @@ def intersect(
     k = a1.k + a2.k
     _require_cap(k, max_k)
     pattern = _merge_pattern(a1.k, a2.k, interleaving)
+    # merge reorders l1 + l2: each combined variable takes its side's next one
+    sides = (iter(range(a1.k)), iter(range(a1.k, k)))
+    merge = itemgetter(*(next(sides[side]) for side in pattern))
+    n1 = pad_normalize(a1.underlying, a1.k)
+    n2 = pad_normalize(a2.underlying, a2.k)
+    all_pad = (PAD,) * k
 
-    def merge(l1: Letter, l2: Letter) -> Letter:
-        it1, it2 = iter(l1), iter(l2)
-        return tuple(next(it1) if side == 0 else next(it2) for side in pattern)
+    def moves(q: int, p: int) -> list[tuple[Letter, int, int]]:
+        edges2 = n2._edges(p)
+        return [(merge(l), q2, p2) for _q, l1, q2 in n1._edges(q)
+                for _p, l2, p2 in edges2 if (l := l1 + l2) != all_pad]
 
-    prefix = merge(a1.prefix, a2.prefix)
-    u1 = _drop_all_pad(a1.underlying, a1.k)
-    u2 = _drop_all_pad(a2.underlying, a2.k)
-    sink1, sink2 = u1.n_states, u2.n_states
-    width = sink2 + 1
-
-    def sid(q: int, p: int) -> int:
-        return q * width + p
-
-    pad1 = (PAD,) * a1.k
-    pad2 = (PAD,) * a2.k
-    trans: list[tuple[int, Letter, int]] = []
-    for q, l1, q2 in u1.transitions:
-        for p, l2, p2 in u2.transitions:
-            trans.append((sid(q, p), merge(l1, l2), sid(q2, p2)))
-    for q in sorted(u1.accepting):
-        for p, l2, p2 in u2.transitions:
-            trans.append((sid(q, p), merge(pad1, l2), sid(sink1, p2)))
-    for p, l2, p2 in u2.transitions:
-        trans.append((sid(sink1, p), merge(pad1, l2), sid(sink1, p2)))
-    for p in sorted(u2.accepting):
-        for q, l1, q2 in u1.transitions:
-            trans.append((sid(q, p), merge(l1, pad2), sid(q2, sink2)))
-    for q, l1, q2 in u1.transitions:
-        trans.append((sid(q, sink2), merge(l1, pad2), sid(q2, sink2)))
-    accepting = [
-        sid(q, p)
-        for q in sorted(set(u1.accepting) | {sink1})
-        for p in sorted(set(u2.accepting) | {sink2})
-    ]
-    underlying = Fa(
-        all_letters(a1.sigma, k),
-        (sink1 + 1) * width,
-        [sid(q, p) for q in sorted(u1.initial) for p in sorted(u2.initial)],
-        accepting,
-        trans,
-    )
-    return Nfh(a1.sigma, prefix, underlying)
+    underlying = reachable_product(n1, n2, all_letters(a1.sigma, k), moves)
+    return Nfh(a1.sigma, merge(a1.prefix + a2.prefix), underlying)
 
 
 # -------------------------------------------------------------- nonemptiness
@@ -661,54 +608,26 @@ def regular_member(lang: Fa, nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> bool:
         innermost = prefix.pop()
         if innermost is Quantifier.FORALL:
             current = current.complement()
-        current = _project_track(current, padded, nfh.sigma, k, k - 1)
+        current = _project_track(current, padded, nfh.sigma, k)
         if innermost is Quantifier.FORALL:
             current = current.complement()
         k -= 1
     lifted = lang.remap_letters(lambda l: l[0], all_letters(nfh.sigma, 1))
     if prefix[0] is Quantifier.FORALL:
-        return current.complement().intersect(lifted).shortest_accepted() is None
+        return current.contains(lifted) is None
     return current.intersect(lifted).shortest_accepted() is not None
 
 
-def _project_track(current: Fa, padded: Fa, sigma: tuple[str, ...], k: int, index: int) -> Fa:
-    """Pair runs of current with padded runs on component index, then emit
-    the remaining components; closed under trailing pads."""
-    from collections import deque
+def _project_track(current: Fa, padded: Fa, sigma: tuple[str, ...], k: int) -> Fa:
+    """Pair runs of current with padded runs on the last component, then
+    emit the remaining components; closed under trailing pads."""
+    step = padded._step
 
-    alphabet = all_letters(sigma, k - 1)
-    ids: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    queue: deque[tuple[int, int]] = deque()
-    for q in sorted(current.initial):
-        for p in sorted(padded.initial):
-            ids[(q, p)] = len(order)
-            order.append((q, p))
-            queue.append((q, p))
-    trans: list[tuple[int, Letter, int]] = []
-    while queue:
-        q, p = queue.popleft()
-        sid = ids[(q, p)]
-        for l, q2 in current._out.get(q, ()):
-            for p2 in padded._step.get((p, l[index]), ()):
-                node = (q2, p2)
-                if node not in ids:
-                    ids[node] = len(order)
-                    order.append(node)
-                    queue.append(node)
-                trans.append((sid, l[:index] + l[index + 1:], ids[node]))
-    accepting = [
-        i for i, (q, p) in enumerate(order)
-        if q in current.accepting and p in padded.accepting
-    ]
-    projected = Fa(
-        alphabet,
-        max(len(order), 1),
-        [ids[(q, p)] for q in sorted(current.initial) for p in sorted(padded.initial)],
-        accepting,
-        trans,
-    )
-    return pad_accept(projected, k - 1)
+    def moves(q: int, p: int) -> list[tuple[Letter, int, int]]:
+        return [(l[:-1], q2, p2) for _q, l, q2 in current._edges(q)
+                for p2 in step.get((p, l[-1]), ())]
+
+    return pad_accept(reachable_product(current, padded, all_letters(sigma, k - 1), moves), k - 1)
 
 
 # --------------------------------------------------- containment/equivalence

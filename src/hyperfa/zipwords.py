@@ -76,12 +76,6 @@ class ZipWord:
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
 
-    def concat(self, other: "ZipWord") -> "ZipWord":
-        """Plain letter-sequence concatenation (same arity)."""
-        if self.arity != other.arity:
-            raise InvalidArity("cannot concatenate zip words of different arity")
-        return ZipWord(self.arity, self.letters + other.letters)
-
     def track(self, i: int) -> Word:
         """Track i (1-based), pad letters dropped."""
         if not 1 <= i <= self.arity:

@@ -6,6 +6,7 @@ import pytest
 
 from hyperfa.errors import AlphabetMismatch, UnknownLetter
 from hyperfa.fa import Fa
+from hyperfa.zipwords import all_letters
 
 import oracles
 
@@ -120,6 +121,19 @@ def test_union_with_empty():
     got = a.union(empty)
     for w in words_upto("ab", 4):
         assert got.accepts(w) == a.accepts(w)
+
+
+def test_intersect_of_wide_tuple_alphabets_walks_transitions():
+    # 3**14 letters: listing them would exceed the tuple-alphabet cap
+    alphabet = all_letters("ab", 14)
+    a, b = ("a",) * 14, ("b",) * 14
+    left = Fa(alphabet, 2, [0], [1], [(0, a, 1)])
+    right = Fa(alphabet, 2, [0], [1], [(0, a, 1), (0, b, 1)])
+    start = time.perf_counter()
+    product = left.intersect(right)
+    assert time.perf_counter() - start < 0.05
+    assert (product.n_states, product.initial, product.accepting) == (2, {0}, {1})
+    assert product.transitions == ((0, a, 1),)
 
 
 def test_alphabet_mismatch():

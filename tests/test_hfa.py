@@ -208,6 +208,44 @@ def test_intersect_interleaving_yields_exists_forall():
         hfa.intersect(a1, a2, interleaving=(0, 0))
 
 
+def random_product_operands(seed, count):
+    """Pairs of random acceptors with k1 + k2 <= 4, alternating prefixes
+    included."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        k1 = rng.randint(1, 3)
+        k2 = rng.randint(1, 4 - k1)
+        a1, a2 = (oracles.random_nfh(rng, fixed_prefix=[rng.choice((A, E)) for _ in range(k)],
+                                     density=0.5) for k in (k1, k2))
+        pairs.append((a1, a2))
+    return pairs
+
+
+def test_intersect_matches_brute_force_for_every_interleaving():
+    sample = SWEEP[::23]
+    for a1, a2 in random_product_operands(61, 16):
+        want = [oracles.brute_member(a1, s) and oracles.brute_member(a2, s) for s in sample]
+        patterns = set(itertools.permutations((0,) * a1.k + (1,) * a2.k))
+        for pattern in sorted(patterns):
+            got = hfa.intersect(a1, a2, interleaving=pattern)
+            assert [hfa.member(got, s) for s in sample] == want, pattern
+
+
+def test_intersect_keeps_only_reachable_states():
+    for a1, a2 in random_product_operands(67, 20):
+        u = hfa.intersect(a1, a2).underlying
+        reached = set(u.initial)
+        frontier = list(reached)
+        while frontier:
+            q = frontier.pop()
+            for p, _l, r in u.transitions:
+                if p == q and r not in reached:
+                    reached.add(r)
+                    frontier.append(r)
+        assert reached == set(range(u.n_states))
+
+
 def test_monotonicity_properties():
     exists_insts = random_instances(6, 53, prefix_pool=(E,))
     forall_insts = random_instances(6, 59, prefix_pool=(A,))
