@@ -53,6 +53,20 @@ class Fa:
             if not (0 <= q < n_states and 0 <= r < n_states):
                 raise InvalidArity(f"transition {(q, a, r)} uses unknown state")
 
+    @classmethod
+    def _sorted(cls, alphabet: Iterable[LetterT], n_states: int, initial: Iterable[int],
+                accepting: Iterable[int], transitions: Iterable[tuple[int, LetterT, int]]) -> "Fa":
+        """Fa built without checks, for constructions whose alphabet is an
+        Fa.alphabet and whose transitions are distinct, sorted and in range."""
+        fa = cls.__new__(cls)
+        fa.alphabet = alphabet
+        fa._alphabet_set = alphabet if isinstance(alphabet, TupleAlphabet) else frozenset(alphabet)
+        fa.n_states = n_states
+        fa.initial = frozenset(initial)
+        fa.accepting = frozenset(accepting)
+        fa.transitions = tuple(transitions)
+        return fa
+
     @cached_property
     def _step(self) -> dict[tuple[int, LetterT], list[int]]:
         """Targets of each (state, letter) pair that has any, built on first
@@ -82,10 +96,6 @@ class Fa:
     def step(self, states: frozenset[int], letter: LetterT) -> frozenset[int]:
         if letter not in self._alphabet_set:
             raise UnknownLetter(f"letter {letter!r} outside the alphabet")
-        return self._post(states, letter)
-
-    def _post(self, states: Iterable[int], letter: LetterT) -> frozenset[int]:
-        """step without the alphabet check, for letters known to belong."""
         out: set[int] = set()
         for q in states:
             out.update(self._step.get((q, letter), ()))
@@ -142,24 +152,27 @@ class Fa:
         ids: dict[frozenset[int], int] = {start: 0}
         order = [start]
         trans: list[tuple[int, LetterT, int]] = []
-        queue = deque([start])
-        while queue:
-            subset = queue.popleft()
-            sid = ids[subset]
+        empty: frozenset[int] = frozenset()
+        for sid, subset in enumerate(order):  # order grows as subsets are found
+            # the subset's out-edges once, then every letter for completeness
+            moves: dict[LetterT, set[int]] = {}
+            for q in subset:
+                for _q, a, r in self._edges(q):
+                    moves.setdefault(a, set()).add(r)
             for letter in self.alphabet:
-                nxt = self._post(subset, letter)
-                if nxt not in ids:
-                    ids[nxt] = len(order)
+                nxt = frozenset(moves[letter]) if letter in moves else empty
+                nid = ids.get(nxt)
+                if nid is None:
+                    nid = ids[nxt] = len(order)
                     order.append(nxt)
-                    queue.append(nxt)
-                trans.append((sid, letter, ids[nxt]))
-        accepting = [ids[s] for s in order if s & self.accepting]
-        return Fa(self.alphabet, len(order), [0], accepting, trans)
+                trans.append((sid, letter, nid))
+        accepting = [sid for sid, subset in enumerate(order) if subset & self.accepting]
+        return Fa._sorted(self.alphabet, len(order), [0], accepting, trans)
 
     def complement(self) -> "Fa":
         det = self.determinize()
         accepting = set(range(det.n_states)) - set(det.accepting)
-        return Fa(det.alphabet, det.n_states, det.initial, accepting, det.transitions)
+        return Fa._sorted(det.alphabet, det.n_states, det.initial, accepting, det.transitions)
 
     def minimize(self) -> "Fa":
         """Determinize, then merge Myhill-Nerode-equivalent states by Moore
@@ -190,7 +203,7 @@ class Fa:
                     order.append(r)
                 trans.append((rename[block[q]], letter, rename[block[r]]))
         accepting = [rename[block[q]] for q in order if q in det.accepting]
-        return Fa(det.alphabet, len(rename), [0], accepting, trans)
+        return Fa._sorted(det.alphabet, len(rename), [0], accepting, trans)
 
     # --------------------------------------------------------- combinations
 

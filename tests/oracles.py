@@ -65,20 +65,30 @@ def enumerate_language(fa: Fa, max_len: int) -> set[tuple]:
     return out
 
 
-def minimal_state_count(fa: Fa) -> int:
-    """States of the minimal complete DFA of L(fa): a subset construction by
-    transition-list scans, then pairwise table-filling."""
-    letters = list(fa.alphabet)
+def subset_dfa(fa: Fa) -> tuple:
+    """fa_shape of the complete DFA built by a breadth-first subset
+    construction over the letters in canonical order, by transition-list
+    scans; subset i is the i-th found, and the empty subset is a state."""
+    letters = sorted(fa.alphabet)
     subsets = [frozenset(fa.initial)]
-    delta = {}
+    transitions = []
     for i, s in enumerate(subsets):  # grows while it is walked
         for l in letters:
             t = frozenset(r for (q, sym, r) in fa.transitions if q in s and sym == l)
             if t not in subsets:
                 subsets.append(t)
-            delta[(i, l)] = subsets.index(t)
-    n = len(subsets)
-    final = [bool(s & set(fa.accepting)) for s in subsets]
+            transitions.append((i, l, subsets.index(t)))
+    accepting = frozenset(i for i, s in enumerate(subsets) if s & set(fa.accepting))
+    return len(subsets), frozenset({0}), accepting, tuple(transitions)
+
+
+def minimal_state_count(fa: Fa) -> int:
+    """States of the minimal complete DFA of L(fa): subset_dfa, then
+    pairwise table-filling."""
+    letters = sorted(fa.alphabet)
+    n, _initial, accepting, transitions = subset_dfa(fa)
+    delta = {(q, l): r for q, l, r in transitions}
+    final = [p in accepting for p in range(n)]
     apart = {(p, q) for p in range(n) for q in range(n) if final[p] != final[q]}
     changed = True
     while changed:

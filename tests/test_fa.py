@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from hyperfa.errors import AlphabetMismatch, UnknownLetter
+from hyperfa import hfa
+from hyperfa.errors import AlphabetMismatch, InvalidArity, UnknownLetter
 from hyperfa.fa import Fa
 from hyperfa.zipwords import all_letters
 
@@ -246,6 +247,52 @@ def test_minimize_3000_state_dfa_is_fast():
     for _ in range(200):
         w = [rng.choice("abcdefghi") for _ in range(rng.randint(0, 12))]
         assert m.accepts(w) == dfa.accepts(w)
+
+
+def test_determinize_matches_subset_oracle():
+    rng = random.Random(17)
+    for i in range(300):
+        letters = "abc"[: 1 + i % 3]
+        # every fourth automaton leaves its last letter unused, so the
+        # empty subset is always reached and numbered
+        used = letters[: len(letters) - (i % 4 == 3)]
+        a = random_fa(rng, rng.randint(1, 6), used, (0.1, 0.25, 0.5)[i // 3 % 3])
+        a = Fa(letters, a.n_states, a.initial, a.accepting, a.transitions)
+        assert oracles.fa_shape(a.determinize()) == oracles.subset_dfa(a)
+    pairs = random_fa(rng, 4, all_letters("ab", 2), 0.2)
+    assert oracles.fa_shape(pairs.determinize()) == oracles.subset_dfa(pairs)
+
+
+def test_unchecked_results_equal_checked_construction():
+    # determinize, complement and minimize build their results unchecked;
+    # the checked constructor must give an equal automaton from their parts
+    rng = random.Random(19)
+    for i in range(150):
+        letters = all_letters("ab", 2) if i % 5 == 4 else "abc"[: 1 + i % 3]
+        a = random_fa(rng, rng.randint(1, 6), letters, (0.1, 0.25, 0.5)[i % 3])
+        for out in (a.determinize(), a.complement(), a.minimize()):
+            checked = Fa(out.alphabet, out.n_states, out.initial, out.accepting, out.transitions)
+            assert type(out.alphabet) is type(checked.alphabet)
+            assert out.alphabet == checked.alphabet
+            assert oracles.fa_shape(out) == oracles.fa_shape(checked)
+            assert out._alphabet_set == checked._alphabet_set
+            assert out._step == checked._step
+
+
+@pytest.mark.parametrize("error, changed", [
+    (InvalidArity, {"transitions": [(0, ("a", "b"), 2)]}),  # into state n_states
+    (InvalidArity, {"initial": [2]}),
+    (InvalidArity, {"accepting": [0, 2]}),
+    (UnknownLetter, {"transitions": [(0, ("a", "c"), 1)]}),
+    (UnknownLetter, {"transitions": [(0, ("a",), 1)]}),
+])
+def test_public_constructors_validate(error, changed):
+    parts = {"n_states": 2, "initial": [0], "accepting": [1],
+             "transitions": [(0, ("a", "b"), 1)], **changed}
+    with pytest.raises(error):
+        Fa(all_letters("ab", 2), **parts)
+    with pytest.raises(error):
+        hfa.make_nfh("ab", (hfa.Quantifier.EXISTS, hfa.Quantifier.FORALL), **parts)
 
 
 def test_dot_export_mentions_all_parts():
