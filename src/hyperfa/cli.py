@@ -54,29 +54,12 @@ def _load_nfh(path: str) -> Nfh:
     return parse_nfh(_read(path))
 
 
-def _ast_symbols(node: hre.Node) -> set[str]:
-    if isinstance(node, hre.TupleLetter):
-        found = set()
-        for comp in node.comps:
-            if isinstance(comp, (hre.Sym, hre.NotSym)):
-                found.add(comp.name)
-        return found
-    if isinstance(node, (hre.Alt, hre.Concat)):
-        out: set[str] = set()
-        for item in node.items:
-            out |= _ast_symbols(item)
-        return out
-    if isinstance(node, (hre.Star, hre.Plus)):
-        return _ast_symbols(node.item)
-    return set()
-
-
 def cmd_compile(args: argparse.Namespace) -> int:
     ast = hre.parse(_read(args.hre))
     if args.sigma:
         sigma = [s for s in args.sigma.split(",") if s]
     else:
-        sigma = sorted(_ast_symbols(ast.body))
+        sigma = hre.symbols(ast)
     if not sigma:
         raise UnknownSymbol("no alphabet: expression has no literals, pass --sigma")
     nfh = hre.compile_hre(ast, sigma)

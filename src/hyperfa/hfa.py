@@ -591,16 +591,8 @@ def regular_member(lang: Fa, nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> bool:
     if lang.is_empty():
         raise EmptyRegularLanguage("membership of the empty language is undefined")
     _require_cap(nfh.k, max_k)
-    tail = lang.n_states
-    padded = Fa(
-        tuple(lang.alphabet) + (PAD,),
-        lang.n_states + 1,
-        lang.initial,
-        set(lang.accepting) | {tail},
-        list(lang.transitions)
-        + [(q, PAD, tail) for q in sorted(lang.accepting)]
-        + [(tail, PAD, tail)],
-    )
+    lifted = lang.remap_letters(lambda l: l[0], all_letters(nfh.sigma, 1))
+    padded = pad_normalize(lifted, 1)
     current = pad_normalize(nfh.underlying, nfh.k)
     prefix = list(nfh.prefix)
     k = nfh.k
@@ -612,7 +604,6 @@ def regular_member(lang: Fa, nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> bool:
         if innermost is Quantifier.FORALL:
             current = current.complement()
         k -= 1
-    lifted = lang.remap_letters(lambda l: l[0], all_letters(nfh.sigma, 1))
     if prefix[0] is Quantifier.FORALL:
         return current.contains(lifted) is None
     return current.intersect(lifted).shortest_accepted() is not None
@@ -625,7 +616,7 @@ def _project_track(current: Fa, padded: Fa, sigma: tuple[str, ...], k: int) -> F
 
     def moves(q: int, p: int) -> list[tuple[Letter, int, int]]:
         return [(l[:-1], q2, p2) for _q, l, q2 in current._edges(q)
-                for p2 in step.get((p, l[-1]), ())]
+                for p2 in step.get((p, l[-1:]), ())]
 
     return pad_accept(reachable_product(current, padded, all_letters(sigma, k - 1), moves), k - 1)
 

@@ -23,7 +23,7 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union as TUnion
+from typing import Iterable, Iterator, Mapping, Union as TUnion
 
 from .errors import ArityMismatch, HreSyntaxError, UnknownSymbol
 from .fa import Fa
@@ -242,17 +242,26 @@ class _Parser:
         raise HreSyntaxError(f"expected a letter component, found {tok.text or 'end'!r}", tok.pos)
 
 
-def _check_arities(node: Node, k: int) -> None:
+def _tuple_letters(node: Node) -> Iterator[TupleLetter]:
     if isinstance(node, TupleLetter):
-        if len(node.comps) != k:
-            raise ArityMismatch(
-                f"tuple letter has {len(node.comps)} components, prefix binds {k}"
-            )
+        yield node
     elif isinstance(node, (Alt, Concat)):
         for item in node.items:
-            _check_arities(item, k)
+            yield from _tuple_letters(item)
     elif isinstance(node, (Star, Plus)):
-        _check_arities(node.item, k)
+        yield from _tuple_letters(node.item)
+
+
+def _check_arities(node: Node, k: int) -> None:
+    for tl in _tuple_letters(node):
+        if len(tl.comps) != k:
+            raise ArityMismatch(f"tuple letter has {len(tl.comps)} components, prefix binds {k}")
+
+
+def symbols(ast: HreAst) -> list[str]:
+    """Sorted names of the symbols the expression mentions, negated ones included."""
+    return sorted({c.name for tl in _tuple_letters(ast.body) for c in tl.comps
+                   if isinstance(c, (Sym, NotSym))})
 
 
 def parse(text: str) -> HreAst:
@@ -416,23 +425,28 @@ class PolicyId(enum.Enum):
     TSNI = "tsni"
 
 
-_POLICY_KEYS = {
-    PolicyId.NI: ("l", "llam"),
-    PolicyId.OD: ("l",),
-    PolicyId.GNI: ("h", "l", "hl", "hbar_l", "h_lbar", "hbar_lbar"),
-    PolicyId.DC: ("li", "pw", "lo"),
-    PolicyId.TSNI: ("l",),
+_POLICIES = {
+    PolicyId.NI: "forall x1. exists x2. [{l},{llam}]*",
+    PolicyId.OD: "forall x1. forall x2. "
+    "[{l},{l}]+|[!{l},!{l}][_,_]*|[{l},!{l}][_,_]*|[!{l},{l}][_,_]*",
+    PolicyId.GNI: "forall x1. forall x2. exists x3. "
+    "([{h},{l},{hl}]|[!{h},{l},{hbar_l}]|[{h},!{l},{h_lbar}]|[!{h},!{l},{hbar_lbar}])*",
+    PolicyId.DC: "forall x1. forall x2. [{li},{li}][{pw},{pw}][{lo},{lo}]+",
+    PolicyId.TSNI: "forall x1. forall x2. "
+    "[{l},{l}][_,_]*[{l},{l}]|[!{l},!{l}][_,_]*|[{l},!{l}][_,_]*|[!{l},{l}][_,_]*",
 }
 
 
 def policy(pid: PolicyId, bindings: Mapping[str, str]) -> HreAst:
     """Instantiate a security-policy template with concrete symbols.
 
-    Required binding keys per policy: NI l,llam; OD l; GNI h,l,hl,hbar_l,
-    h_lbar,hbar_lbar (the last four name the combined input/output events);
-    DC li,pw,lo; TSNI l.
+    The binding keys are the template's fields: NI l,llam; OD l; GNI h,l,hl,
+    hbar_l,h_lbar,hbar_lbar (the last four name the combined input/output
+    events); DC li,pw,lo; TSNI l.  A valid symbol parses as a symbol inside
+    a tuple letter even when it spells a keyword.
     """
-    keys = _POLICY_KEYS[pid]
+    template = _POLICIES[pid]
+    keys = dict.fromkeys(re.findall(r"\{(\w+)\}", template))
     extra = set(bindings) - set(keys)
     if extra:
         raise UnknownSymbol(f"unexpected bindings {sorted(extra)!r} for {pid.value}")
@@ -440,59 +454,4 @@ def policy(pid: PolicyId, bindings: Mapping[str, str]) -> HreAst:
         b = {key: check_symbol(bindings[key]) for key in keys}
     except KeyError as exc:
         raise UnknownSymbol(f"policy {pid.value} needs a binding for {exc.args[0]!r}") from exc
-
-    def atom(*comps: Component) -> TupleLetter:
-        return TupleLetter(comps)
-
-    forall, exists = Quantifier.FORALL, Quantifier.EXISTS
-    if pid is PolicyId.NI:
-        return HreAst(
-            ((forall, "x1"), (exists, "x2")),
-            Star(atom(Sym(b["l"]), Sym(b["llam"]))),
-        )
-    if pid is PolicyId.OD:
-        low = Sym(b["l"])
-        other = NotSym(b["l"])
-        tail = Star(atom(Any(), Any()))
-        return HreAst(
-            ((forall, "x1"), (forall, "x2")),
-            Alt((
-                Plus(atom(low, low)),
-                Concat((atom(other, other), tail)),
-                Concat((atom(low, other), tail)),
-                Concat((atom(other, low), tail)),
-            )),
-        )
-    if pid is PolicyId.GNI:
-        h, l = Sym(b["h"]), Sym(b["l"])
-        nh, nl = NotSym(b["h"]), NotSym(b["l"])
-        return HreAst(
-            ((forall, "x1"), (forall, "x2"), (exists, "x3")),
-            Star(Alt((
-                atom(h, l, Sym(b["hl"])),
-                atom(nh, l, Sym(b["hbar_l"])),
-                atom(h, nl, Sym(b["h_lbar"])),
-                atom(nh, nl, Sym(b["hbar_lbar"])),
-            ))),
-        )
-    if pid is PolicyId.DC:
-        return HreAst(
-            ((forall, "x1"), (forall, "x2")),
-            Concat((
-                atom(Sym(b["li"]), Sym(b["li"])),
-                atom(Sym(b["pw"]), Sym(b["pw"])),
-                Plus(atom(Sym(b["lo"]), Sym(b["lo"]))),
-            )),
-        )
-    low = Sym(b["l"])
-    other = NotSym(b["l"])
-    tail = Star(atom(Any(), Any()))
-    return HreAst(
-        ((forall, "x1"), (forall, "x2")),
-        Alt((
-            Concat((atom(low, low), tail, atom(low, low))),
-            Concat((atom(other, other), tail)),
-            Concat((atom(low, other), tail)),
-            Concat((atom(other, low), tail)),
-        )),
-    )
+    return parse(template.format(**b))

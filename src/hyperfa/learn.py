@@ -148,44 +148,21 @@ def lift_table(table: ObservationTable, k_new: int) -> ObservationTable:
 
 
 def close_and_consist(table: ObservationTable) -> ObservationTable:
-    """Standard fixpoint: promote unmatched boundary rows, split on the
-    first inconsistency by adding a separating letter-column."""
+    """Promote unmatched boundary rows until the table is closed.
+
+    The table is consistent by construction, so no consistency split is
+    searched for: a row is promoted only when its vector is new, a new
+    column only splits rows, ``lift_table`` keeps every entry (lift(d) +
+    lift(e) decodes to the hyperword of d + e), and counterexamples add all
+    their suffixes as columns.  No two rows ever share a vector.
+    """
     while True:
         row_set = {table.row_of(d.letters) for d in table.rows}
-        promoted = False
-        for d in table.rows:
-            for letter in table.letters:
-                boundary = d.letters + (letter,)
-                if table.row_of(boundary) not in row_set:
-                    table.rows.append(ZipWord(table.k, boundary))
-                    promoted = True
-                    break
-            if promoted:
-                break
-        if promoted:
-            continue
-        split = None
-        for i, d1 in enumerate(table.rows):
-            if split:
-                break
-            r1 = table.row_of(d1.letters)
-            for d2 in table.rows[i + 1:]:
-                if split or r1 != table.row_of(d2.letters):
-                    continue
-                for letter in table.letters:
-                    if split:
-                        break
-                    b1 = d1.letters + (letter,)
-                    b2 = d2.letters + (letter,)
-                    for e in list(table.columns):
-                        if table.entry_letters(b1 + e.letters) != table.entry_letters(
-                            b2 + e.letters
-                        ):
-                            split = (letter,) + e.letters
-                            break
-        if split is None:
+        boundary = next((d.letters + (letter,) for d in table.rows for letter in table.letters
+                         if table.row_of(d.letters + (letter,)) not in row_set), None)
+        if boundary is None:
             return table
-        table.columns.append(ZipWord(table.k, split))
+        table.rows.append(ZipWord(table.k, boundary))
 
 
 def build_candidate(table: ObservationTable, fragment: Fragment) -> Nfh:
@@ -310,6 +287,8 @@ def _disagreeing_ordering(
 class AutomatedTeacher:
     """Answers queries from a known alternation-free acceptor.
 
+    Candidates must share the target's fragment, because comparing the
+    sizes up to the larger arity decides equivalence only then.
     Equivalence counterexamples are minimal in hyperword size; the per-size
     construction is capped at 256 variable-to-track maps, past which the
     teacher falls back to the generic containment check plus greedy
@@ -344,6 +323,11 @@ class AutomatedTeacher:
     def equivalent(self, candidate: Nfh) -> Optional[tuple[Hyperword, bool]]:
         if candidate.sigma != self.sigma:
             raise AlphabetMismatch("candidate alphabet differs from the target's")
+        if candidate.fragment is not self.target.fragment:
+            raise WrongFragment(
+                f"candidate fragment {candidate.fragment.value} differs from the "
+                f"target's {self.target.fragment.value}"
+            )
         top = max(candidate.k, self.target.k)
         try:
             for size in range(1, top + 1):
@@ -388,7 +372,3 @@ class AutomatedTeacher:
                     break
         final = Hyperword.of(words)
         return final, self.member(final)
-
-
-def automated_teacher(target: Nfh, config: Optional[LearnerConfig] = None) -> AutomatedTeacher:
-    return AutomatedTeacher(target, config)

@@ -307,6 +307,17 @@ def test_learn_exists_fragment(tmp_path, capsys):
     assert canon.canonical_equal(learned, canon.permutation_closure(target))
 
 
+def test_learn_fragment_other_than_the_targets_exits_3(tmp_path, capsys):
+    target_path = compile_to(
+        tmp_path, "exists_a", "exists x. [a]([a]|[b])*\n", capsys, sigma="a,b"
+    )
+    code, out, err = run_cli(
+        ["learn", "--target", target_path, "--fragment", "forall"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert "fragment" in err
+
+
 def test_learn_variable_cap_is_an_error(tmp_path, capsys):
     target_path = compile_to(tmp_path, "a1", A1_TEXT, capsys)
     code, _, err = run_cli(

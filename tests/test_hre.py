@@ -205,3 +205,37 @@ def test_all_policies_compile_and_roundtrip():
         assert hre.parse(hre.format_hre(ast)) == ast
         nfh = hre.compile_hre(ast, sigma)
         assert nfh.k == ast.arity
+
+
+def test_policies_print_as_their_published_text():
+    gni_bindings = {"h": "h", "l": "l", "hl": "m", "hbar_l": "n", "h_lbar": "o",
+                    "hbar_lbar": "p"}
+    published = [
+        (hre.PolicyId.NI, {"l": "l", "llam": "m"}, "forall x1. exists x2. [l,m]*"),
+        (hre.PolicyId.OD, {"l": "l"},
+         "forall x1. forall x2. [l,l]+|[!l,!l][_,_]*|[l,!l][_,_]*|[!l,l][_,_]*"),
+        (hre.PolicyId.GNI, gni_bindings,
+         "forall x1. forall x2. exists x3. ([h,l,m]|[!h,l,n]|[h,!l,o]|[!h,!l,p])*"),
+        (hre.PolicyId.DC, {"li": "li", "pw": "pw", "lo": "lo"},
+         "forall x1. forall x2. [li,li][pw,pw][lo,lo]+"),
+        (hre.PolicyId.TSNI, {"l": "l"},
+         "forall x1. forall x2. [l,l][_,_]*[l,l]|[!l,!l][_,_]*|[l,!l][_,_]*|[!l,l][_,_]*"),
+    ]
+    for pid, bindings, text in published:
+        assert hre.format_hre(hre.policy(pid, bindings)) == text
+
+
+def test_policy_keyword_named_bindings_are_symbols():
+    ni = hre.policy(hre.PolicyId.NI, {"l": "eps", "llam": "forall"})
+    assert ni.body == hre.Star(hre.TupleLetter((hre.Sym("eps"), hre.Sym("forall"))))
+    for name in ("empty", "exists", "x1"):
+        od = hre.policy(hre.PolicyId.OD, {"l": name})
+        assert od.body.items[0] == hre.Plus(hre.TupleLetter((hre.Sym(name),) * 2))
+        assert hre.symbols(od) == [name]
+
+
+def test_symbols_names_plain_and_negated_symbols_only():
+    ast = hre.parse("forall x1. forall x2. [b,!a]([_,#]|[c,c])*|eps|empty")
+    assert hre.symbols(ast) == ["a", "b", "c"]
+    assert hre.symbols(hre.parse("exists x1. exists x2. ([_,#][#,_])+")) == []
+    assert hre.symbols(hre.parse("exists x. eps")) == []

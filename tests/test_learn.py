@@ -123,6 +123,68 @@ def test_close_and_consist_fixpoint_and_prefix_closure():
     assert (table.rows, table.columns) == snapshot
 
 
+LEARN_TARGETS = [
+    ("forall x. [a]*", Fragment.FORALL_ONLY),
+    (A1_TEXT, Fragment.FORALL_ONLY),
+    (A3_TEXT, Fragment.FORALL_ONLY),
+    ("forall x. [a][b]*", Fragment.FORALL_ONLY),
+    ("forall x. ([a][a])*", Fragment.FORALL_ONLY),
+    ("forall x1. forall x2. ([a,a]|[b,b])*", Fragment.FORALL_ONLY),
+    ("forall x. ([a]|[b])([a]|[b])*", Fragment.FORALL_ONLY),
+    ("forall x. eps", Fragment.FORALL_ONLY),
+    ("forall x. [b][b]*", Fragment.FORALL_ONLY),
+    ("forall x1. forall x2. ([a,a]|[b,b]|[a,b]|[b,a])*", Fragment.FORALL_ONLY),
+    ("forall x. [b]*", Fragment.FORALL_ONLY),
+    ("forall x. [a][a]*", Fragment.FORALL_ONLY),
+    ("exists x. ([a]|[b])*", Fragment.EXISTS_ONLY),
+    ("exists x. [a][a]*", Fragment.EXISTS_ONLY),
+    ("exists x. [a][b]", Fragment.EXISTS_ONLY),
+    ("exists x1. exists x2. ([a,b])*", Fragment.EXISTS_ONLY),
+    ("exists x. [b]*", Fragment.EXISTS_ONLY),
+    ("exists x. eps", Fragment.EXISTS_ONLY),
+    ("exists x1. exists x2. ([a,a])*([a,#])+", Fragment.EXISTS_ONLY),
+    ("exists x. [a]([a]|[b])*", Fragment.EXISTS_ONLY),
+]
+
+
+def _consistency_split(table):
+    """The classic L* consistency search: a letter-column separating two
+    rows with equal vectors, or None."""
+    for i, d1 in enumerate(table.rows):
+        r1 = table.row_of(d1.letters)
+        for d2 in table.rows[i + 1:]:
+            if r1 != table.row_of(d2.letters):
+                continue
+            for letter in table.letters:
+                for e in table.columns:
+                    if table.entry_letters(d1.letters + (letter,) + e.letters) != (
+                        table.entry_letters(d2.letters + (letter,) + e.letters)
+                    ):
+                        return (letter,) + e.letters
+    return None
+
+
+def test_closed_tables_are_consistent_by_construction(monkeypatch):
+    closes = []
+    learn_close = learn.close_and_consist
+
+    def close_then_check(table):
+        learn_close(table)
+        closes.append(len(table.rows))
+        assert _consistency_split(table) is None
+        assert len({table.row_of(d.letters) for d in table.rows}) == len(table.rows)
+        return table
+
+    monkeypatch.setattr(learn, "close_and_consist", close_then_check)
+    for text, fragment in LEARN_TARGETS:
+        target = compile_text(text)
+        got = learn.learn(learn.AutomatedTeacher(target), fragment)
+        close = (canon.sequence_closure if fragment is Fragment.FORALL_ONLY
+                 else canon.permutation_closure)
+        assert canon.canonical_equal(got, close(target)), text
+    assert len(closes) > len(LEARN_TARGETS)
+
+
 def test_build_candidate_constant_tables():
     yes = learn.ObservationTable(ScriptedTeacher("ab", lambda hw: True), "ab")
     learn.close_and_consist(yes)
@@ -162,6 +224,14 @@ def test_teacher_equivalent_to_itself():
         target = compile_text(text)
         teacher = learn.AutomatedTeacher(target)
         assert teacher.equivalent(target) is None
+
+
+def test_teacher_rejects_a_candidate_of_another_fragment():
+    teacher = learn.AutomatedTeacher(compile_text("exists x. [a]([a]|[b])*"))
+    with pytest.raises(WrongFragment):
+        teacher.equivalent(universal_nfh((A,)))
+    with pytest.raises(WrongFragment):
+        learn.learn(teacher, Fragment.FORALL_ONLY)
 
 
 def test_teacher_counterexample_b_at_size_one():
