@@ -77,23 +77,15 @@ def check_complete(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K + 1) -> Complete
     base = pad_normalize(nfh.underlying, k)
     encodings = zip_filter_fa(nfh.sigma, k)
     identity = tuple(range(1, k + 1))
-    if frag is Fragment.FORALL_ONLY:
+    universal = frag is Fragment.FORALL_ONLY
+    if universal:
         accepted = nfh.underlying.intersect(encodings)
-        for seq in _all_sequences(k):
-            if seq == identity:
-                continue
-            piece = sequence_remap(base, seq, alphabet)
-            witness = piece.contains(accepted)
-            if witness is not None:
-                return CompletenessReport(
-                    False, (ZipWord(k, witness), IndexSequence(seq))
-                )
-        return CompletenessReport(True, None)
-    for seq in itertools.permutations(range(1, k + 1)):
+    for seq in _all_sequences(k) if universal else itertools.permutations(identity):
         if seq == identity:
             continue
-        piece = sequence_remap(base, seq, alphabet).intersect(encodings)
-        witness = nfh.underlying.contains(piece)
+        piece = sequence_remap(base, seq, alphabet)
+        witness = (piece.contains(accepted) if universal
+                   else nfh.underlying.contains(piece.intersect(encodings)))
         if witness is not None:
             return CompletenessReport(False, (ZipWord(k, witness), IndexSequence(seq)))
     return CompletenessReport(True, None)

@@ -114,6 +114,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
     fragment = Fragment.FORALL_ONLY if args.fragment == "forall" else Fragment.EXISTS_ONLY
     config = LearnerConfig(max_k=args.max_k)
     teacher = AutomatedTeacher(target, config)
+    if target.fragment is not fragment:
+        raise WrongFragment(f"--fragment {fragment.value} differs from the target's "
+                            f"fragment {target.fragment.value}")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             result = learn(
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, default=4)
     p.set_defaults(func=cmd_empty)
 
-    p = sub.add_parser("contains", help="is every hyperword of nfh1 one of nfh2")
+    p = sub.add_parser("contains", help="is every hyperword of nfh1 (E*A*) one of nfh2 (A*E*)")
     p.add_argument("nfh1")
     p.add_argument("nfh2")
     p.add_argument("--max-k", type=int, default=4)

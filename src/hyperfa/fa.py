@@ -110,36 +110,8 @@ class Fa:
         return bool(states & self.accepting)
 
     def shortest_accepted(self, step_ok: StepFilter | None = None) -> Optional[tuple]:
-        """Shortest accepted word, ties broken by canonical letter order.
-
-        With a filter, only words whose consecutive letter pairs satisfy
-        step_ok(previous_or_None, next) are searched.  Returns None iff no
-        (filtered) word is accepted.
-        """
-        # Search nodes are (state, last letter); BFS discovery order within a
-        # layer is lexicographic, so the first accepting hit is minimal.
-        parent: dict[tuple[int, Optional[LetterT]], tuple] = {}
-        queue: deque[tuple[int, Optional[LetterT]]] = deque()
-        for q in sorted(self.initial):
-            node = (q, None)
-            parent[node] = ()
-            if q in self.accepting:
-                return ()
-            queue.append(node)
-        while queue:
-            q, last = queue.popleft()
-            base = parent[(q, last)]
-            for _q, letter, r in self._edges(q):
-                if step_ok is not None and not step_ok(last, letter):
-                    continue
-                node = (r, letter)
-                if node in parent:
-                    continue
-                parent[node] = base + (letter,)
-                if r in self.accepting:
-                    return parent[node]
-                queue.append(node)
-        return None
+        """Shortest (filtered, see contains) accepted word, or None if none."""
+        return Fa._sorted(self.alphabet, 0, (), (), ()).contains(self, step_ok)
 
     def is_empty(self) -> bool:
         return self.shortest_accepted() is None
@@ -236,10 +208,39 @@ class Fa:
             trans,
         )
 
-    def contains(self, other: "Fa") -> Optional[tuple]:
-        """None iff L(other) <= L(self); otherwise a shortest counterexample."""
+    def contains(self, other: "Fa", step_ok: StepFilter | None = None) -> Optional[tuple]:
+        """None iff L(other) <= L(self); otherwise a shortest counterexample.
+        With a filter, only words whose consecutive letter pairs satisfy
+        step_ok(previous_or_None, next) are searched.
+
+        BFS over (state of other, subset of self, last letter if filtered):
+        subsets are stepped along other's edges, never determinized.  Edges
+        go in letter order, so ties go to the least word if other is a DFA.
+        """
         self._require_same_alphabet(other)
-        return other.intersect(self.complement()).shortest_accepted()
+        step, accepting, start = self._step, self.accepting, self.initial
+        if other.initial & other.accepting and not start & accepting:
+            return ()
+        parent: dict[tuple, tuple] = {(p, start, None): () for p in sorted(other.initial)}
+        queue = deque(parent)
+        while queue:
+            p, subset, last = node = queue.popleft()
+            base = parent[node]
+            prev = None
+            for _p, letter, r in other._edges(p):
+                if step_ok is not None and not step_ok(last, letter):
+                    continue
+                if letter != prev:  # edges are sorted by letter
+                    prev = letter
+                    nxt = frozenset([t for q in subset for t in step.get((q, letter), ())])
+                node = (r, nxt, letter if step_ok is not None else None)
+                if node in parent:
+                    continue
+                parent[node] = base + (letter,)
+                if r in other.accepting and not nxt & accepting:
+                    return parent[node]
+                queue.append(node)
+        return None
 
     def remap_letters(self, f: Callable[[LetterT], object], new_alphabet: Iterable[LetterT]) -> "Fa":
         """Inverse-image relabelling.

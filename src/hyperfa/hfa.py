@@ -628,21 +628,21 @@ def contains(a1: Nfh, a2: Nfh, max_k: int = DEFAULT_MAX_K) -> Optional[Hyperword
     """None iff every hyperword of a1 is one of a2; otherwise a witness
     accepted by a1 only.
 
-    Supported pairs: a1 in {exists, forall, exists-forall}, a2 alternation
-    free.  The complement of a2 is interleaved with all existential
-    variables hoisted in front of all universal ones.
+    Supported pairs: a1 in {exists, forall, exists-forall}, a2 in
+    forall*-exists*, whose complement is exists*-forall*.  The complement
+    of a2 is interleaved as: the existentials of a1, those of the
+    complement, the universals of a1, those of the complement.
     """
     f1 = a1.fragment
     if f1 is Fragment.OTHER:
         raise Unsupported(f"left argument fragment {f1.value} is not supported")
-    if a2.fragment not in (Fragment.EXISTS_ONLY, Fragment.FORALL_ONLY):
-        raise Unsupported("right argument must be alternation free")
+    pref = "".join(q.value for q in a2.prefix)
+    if not re.fullmatch("A*E*", pref):
+        raise Unsupported(f"right argument prefix {pref} is not forall*-exists*")
     comp = complement(a2, max_k=max_k)
     m1 = sum(1 for q in a1.prefix if q is Quantifier.EXISTS)
-    if comp.fragment is Fragment.EXISTS_ONLY:
-        pattern = (0,) * m1 + (1,) * comp.k + (0,) * (a1.k - m1)
-    else:
-        pattern = (0,) * a1.k + (1,) * comp.k
+    mc = sum(1 for q in comp.prefix if q is Quantifier.EXISTS)
+    pattern = (0,) * m1 + (1,) * mc + (0,) * (a1.k - m1) + (1,) * (comp.k - mc)
     diff = intersect(a1, comp, interleaving=pattern, max_k=max_k)
     return nonempty_exists_forall(diff, max_k=max_k)
 

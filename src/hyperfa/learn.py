@@ -292,7 +292,8 @@ class AutomatedTeacher:
     Equivalence counterexamples are minimal in hyperword size; the per-size
     construction is capped at 256 variable-to-track maps, past which the
     teacher falls back to the generic containment check plus greedy
-    shrinking of its witness.
+    shrinking of its witness.  A counterexample longer than the config's
+    max_word_length raises ResourceLimit.
     """
 
     MAP_CAP = 256
@@ -329,29 +330,26 @@ class AutomatedTeacher:
                 f"target's {self.target.fragment.value}"
             )
         top = max(candidate.k, self.target.k)
-        try:
-            for size in range(1, top + 1):
+        for size in range(1, top + 1):
+            try:
                 if size not in self._target_restrictions:
                     self._target_restrictions[size] = self._restriction(self.target, size)
                 rt = self._target_restrictions[size]
                 rc = self._restriction(candidate, size)
-                only_cand = rc.intersect(rt.complement()).shortest_accepted(zip_step)
-                only_target = rt.intersect(rc.complement()).shortest_accepted(zip_step)
-                best = None
-                if only_cand is not None:
-                    best = (len(only_cand), only_cand, False)
-                if only_target is not None:
-                    entry = (len(only_target), only_target, True)
-                    best = entry if best is None else min(best, entry)
-                if best is not None:
-                    length, word, positive = best
-                    if length > self.config.max_word_length:
-                        raise ResourceLimit("counterexample exceeds the word-length bound")
-                    hw = Hyperword.of(unzip(ZipWord(size, word)))
-                    return hw, positive
-            return None
-        except ResourceLimit:
-            return self._fallback(candidate)
+            except ResourceLimit:
+                return self._fallback(candidate)
+            found = [(len(w), w, positive) for w, positive in (
+                (rt.contains(rc, zip_step), False), (rc.contains(rt, zip_step), True)
+            ) if w is not None]
+            if found:
+                length, word, positive = min(found)
+                bound = self.config.max_word_length
+                if length > bound:
+                    raise ResourceLimit(
+                        f"counterexample length {length} exceeds the word-length bound {bound}"
+                    )
+                return Hyperword.of(unzip(ZipWord(size, word))), positive
+        return None
 
     def _fallback(self, candidate: Nfh) -> Optional[tuple[Hyperword, bool]]:
         outcome = hfa_equivalent(

@@ -65,6 +65,39 @@ def enumerate_language(fa: Fa, max_len: int) -> set[tuple]:
     return out
 
 
+def first_difference(
+    fa: Fa, other: Fa, max_len: int, step_ok=None
+) -> Optional[tuple]:
+    """Shortest word of length at most max_len that other accepts and fa
+    rejects, least in letter order among those; with step_ok, only words
+    whose consecutive letter pairs satisfy step_ok(previous_or_None, next).
+
+    Every word is tried, length by length; a prefix is dropped only once no
+    run of other survives it.
+    """
+    def run(a: Fa, states: set, l) -> set:
+        return {r for (q, sym, r) in a.transitions if q in states and sym == l}
+
+    letters = sorted({l for _q, l, _r in other.transitions})
+    layer = [((), set(other.initial), set(fa.initial))]
+    for n in range(max_len + 1):
+        for word, mine, theirs in layer:
+            if mine & other.accepting and not theirs & fa.accepting:
+                return word
+        if n == max_len:
+            return None
+        nxt = []
+        for word, mine, theirs in layer:
+            for l in letters:
+                if step_ok is not None and not step_ok(word[-1] if word else None, l):
+                    continue
+                mine2 = run(other, mine, l)
+                if mine2:
+                    nxt.append((word + (l,), mine2, run(fa, theirs, l)))
+        layer = nxt
+    return None
+
+
 def subset_dfa(fa: Fa) -> tuple:
     """fa_shape of the complete DFA built by a breadth-first subset
     construction over the letters in canonical order, by transition-list

@@ -311,11 +311,17 @@ def test_learn_fragment_other_than_the_targets_exits_3(tmp_path, capsys):
     target_path = compile_to(
         tmp_path, "exists_a", "exists x. [a]([a]|[b])*\n", capsys, sigma="a,b"
     )
+    trace_path = tmp_path / "trace.jsonl"
     code, out, err = run_cli(
-        ["learn", "--target", target_path, "--fragment", "forall"], capsys
+        ["learn", "--target", target_path, "--fragment", "forall",
+         "--trace", str(trace_path)],
+        capsys,
     )
     assert (code, out) == (3, "")
-    assert "fragment" in err
+    assert "fragment" in err and "forall" in err and "exists" in err
+    # the mismatch is found before the first membership query
+    records = trace_path.read_text().splitlines() if trace_path.exists() else []
+    assert not [r for r in map(json.loads, records) if r["event"] == "query"]
 
 
 def test_learn_variable_cap_is_an_error(tmp_path, capsys):
@@ -345,6 +351,14 @@ def test_console_entry_point(tmp_path):
         base + ["member", str(out), str(hw)], capture_output=True, text=True
     )
     assert done.returncode == 0 and done.stdout == "true\n"
+
+
+def test_module_entry_point_writes_nothing_to_stderr():
+    done = subprocess.run(
+        [sys.executable, "-m", "hyperfa.cli", "--help"], capture_output=True, text=True
+    )
+    assert done.returncode == 0 and "contains" in done.stdout
+    assert done.stderr == ""
 
 
 # ------------------------------------------------- corpus: CLI == library

@@ -167,6 +167,69 @@ def test_contains_vs_enumeration():
             assert len(w) >= len(witness)
 
 
+def test_contains_and_shortest_accepted_never_build_subset_automata(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("contains must search lazily")
+
+    a, b = fa_astar_b(), fa_abstar()
+    for name in ("determinize", "complement", "intersect"):
+        monkeypatch.setattr(Fa, name, refuse)
+    assert b.contains(a) == ("b",) and a.contains(b) == ("a",)
+    assert a.contains(a) is None
+    assert a.shortest_accepted() == ("b",)
+    assert a.shortest_accepted(lambda prev, nxt: nxt == "a") is None
+
+
+def test_contains_matches_brute_force_on_random_pairs():
+    # filters: no letter twice in a row over plain letters, exact zip
+    # encodings over the k=2 tuple alphabet
+    def no_repeat(prev, nxt):
+        return prev != nxt
+
+    def admitted(word, step_ok):
+        return step_ok is None or all(step_ok(p, n) for p, n in zip((None,) + word, word))
+
+    pairs = all_letters("ab", 2)
+    rng = random.Random(31)
+    hits = misses = 0
+    for i in range(300):
+        tuples = i % 4 >= 2
+        letters = pairs if tuples else "abc"[: rng.randint(1, 3)]
+        step_ok = (None, hfa.zip_step if tuples else no_repeat)[i % 2]
+        density = (0.1, 0.25) if tuples else (0.1, 0.25, 0.5)
+        a, b = (random_fa(rng, rng.randint(1, 5), letters, rng.choice(density))
+                for _ in range(2))
+        want = oracles.first_difference(a, b, 5, step_ok)
+        got = a.contains(b, step_ok)
+        if got is None:
+            assert want is None
+            misses += 1
+            continue
+        hits += 1
+        assert oracles.sim_accepts(b, got) and not oracles.sim_accepts(a, got)
+        assert admitted(got, step_ok)
+        # shortest; ties need not be least, since other may run on in
+        # several states and each run is searched in its own letter order
+        assert len(got) == len(want) if len(got) <= 5 else want is None
+        nothing = Fa(a.alphabet, 1, [0], [], [])
+        shortest = b.shortest_accepted(step_ok)
+        assert oracles.sim_accepts(b, shortest) and admitted(shortest, step_ok)
+        assert len(shortest) == len(oracles.first_difference(nothing, b, len(got), step_ok))
+    assert hits > 50 and misses > 50
+
+
+def test_contains_of_wide_tuple_alphabets_walks_transitions():
+    # 3**14 letters: determinizing would list them past the tuple-alphabet cap
+    alphabet = all_letters("ab", 14)
+    a, b = ("a",) * 14, ("b",) * 14
+    left = Fa(alphabet, 2, [0], [1], [(0, a, 1)])
+    right = Fa(alphabet, 2, [0], [1], [(0, a, 1), (0, b, 1)])
+    start = time.perf_counter()
+    assert left.contains(right) == (b,)
+    assert right.contains(left) is None
+    assert time.perf_counter() - start < 0.05
+
+
 def test_remap_identity():
     a = fa_astar_b()
     got = a.remap_letters(lambda l: l, a.alphabet)

@@ -444,6 +444,34 @@ def test_contains_agrees_with_sweep():
             assert hfa.member(a1, got) and not hfa.member(a2, got)
 
 
+def test_contains_names_the_unsupported_right_prefix():
+    ea = single_word_nfh((E, A), "a", "a")
+    with pytest.raises(Unsupported, match="right argument prefix EA"):
+        hfa.contains(compile_text("exists x. [a]*"), ea)
+
+
+def test_contains_forall_exists_right_operands_against_brute_force():
+    # left E, A, EA, EE or AA; right AE, AAE or AEE; total arity at most 4
+    rng = random.Random(2024)
+    pool = oracles.all_hyperwords("ab", 3, 2)
+    verdicts = set()
+    for _ in range(120):
+        left = rng.choice(("E", "A", "EA", "EE", "AA"))
+        right = rng.choice([r for r in ("AE", "AAE", "AEE") if len(left) + len(r) <= 4])
+        a1 = oracles.random_nfh(rng, fixed_prefix=[Quantifier(c) for c in left])
+        a2 = oracles.random_nfh(rng, fixed_prefix=[Quantifier(c) for c in right],
+                                max_states=2)
+        got = hfa.contains(a1, a2)
+        verdicts.add(got is None)
+        if got is None:
+            assert not any(oracles.brute_member(a1, s) and not oracles.brute_member(a2, s)
+                           for s in pool)
+        else:
+            assert oracles.brute_member(a1, got.words)
+            assert not oracles.brute_member(a2, got.words)
+    assert verdicts == {True, False}
+
+
 def test_equivalent_examples():
     small = compile_text("forall x. [a]*")
     big = compile_text("forall x. ([a]|[b])*")

@@ -7,6 +7,7 @@ from hyperfa.errors import (
     BudgetExceeded,
     InvalidArity,
     QueryBudgetExceeded,
+    ResourceLimit,
     TableNotClosed,
     TeacherInconsistent,
     WrongFragment,
@@ -275,6 +276,15 @@ def test_teacher_counterexamples_recheck_and_are_bounded():
             assert len(hw) <= max(target.k, candidate.k)
             assert hfa.member(target, hw) == positive
             assert hfa.member(candidate, hw) != positive
+
+
+def test_teacher_word_length_bound_reaches_the_caller():
+    config = learn.LearnerConfig(max_word_length=1)
+    teacher = learn.AutomatedTeacher(compile_text("forall x. [a][a]"), config)
+    with pytest.raises(
+        ResourceLimit, match="counterexample length 2 exceeds the word-length bound 1"
+    ):
+        teacher.equivalent(compile_text("forall x. [a][a][a]"))
 
 
 # ------------------------------------------------------------------- learn
