@@ -232,7 +232,9 @@ class Fa:
                     continue
                 if letter != prev:  # edges are sorted by letter
                     prev = letter
-                    nxt = frozenset([t for q in subset for t in step.get((q, letter), ())])
+                    # the empty subset (always, in shortest_accepted) steps to itself
+                    nxt = subset and frozenset(
+                        [t for q in subset for t in step.get((q, letter), ())])
                 node = (r, nxt, letter if step_ok is not None else None)
                 if node in parent:
                     continue
