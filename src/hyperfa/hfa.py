@@ -22,6 +22,7 @@ import enum
 import itertools
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -40,6 +41,7 @@ from .errors import (
 )
 from .fa import Fa, reachable_product
 from .zipwords import (
+    MAX_LETTERS,
     PAD,
     Letter,
     Word,
@@ -546,9 +548,12 @@ def nonempty_forall(nfh: Nfh) -> Optional[Hyperword]:
 def nonempty_exists_forall(nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> Optional[Hyperword]:
     """Witness for an exists^m forall^(k-m) acceptor, or None.
 
-    Intersects, over every track sequence fixing the existential block and
-    re-reading universal tracks from it, the letterwise selection automata;
-    an exact-zip witness instantiates the m existential tracks.
+    Words x_1..x_m witness nonemptiness iff the underlying automaton accepts
+    every selection that reads the existential tracks as x and each
+    universal track as one of x.  A breadth-first search over zip letters of
+    x runs one copy of the automaton per selection; a node is (the copies'
+    states, the tracks of x that have ended), and the first node where every
+    copy accepts spells a shortest witness.
     """
     frag = nfh.fragment
     if frag is Fragment.EXISTS_ONLY:
@@ -559,19 +564,44 @@ def nonempty_exists_forall(nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> Optional[Hyp
         raise WrongFragment("prefix is not of the exists*-forall* shape")
     _require_cap(nfh.k, max_k)
     m = sum(1 for q in nfh.prefix if q is Quantifier.EXISTS)
-    alphabet = nfh.underlying.alphabet
-    base = pad_normalize(nfh.underlying, nfh.k)
-    product: Optional[Fa] = None
-    head = tuple(range(1, m + 1))
-    for tail in itertools.product(range(1, m + 1), repeat=nfh.k - m):
-        remapped = sequence_remap(base, head + tail, alphabet)
-        product = remapped if product is None else product.intersect(remapped)
-    assert product is not None
-    found = product.shortest_accepted(zip_step)
-    if found is None:
-        return None
-    tracks = unzip(ZipWord(nfh.k, found))
-    return Hyperword.of(tracks[:m])
+    size = len(all_letters(nfh.sigma, m)) * m ** (nfh.k - m)
+    if size > MAX_LETTERS:
+        raise ResourceLimit(
+            f"selection alphabet of {size} letters exceeds the cap of {MAX_LETTERS}")
+    tails = list(itertools.product(range(m), repeat=nfh.k - m))
+    # each letter of x with its ended tracks as a bitmask and its selections
+    letters = [(x, sum(1 << i for i, s in enumerate(x) if s == PAD),
+                [x + tuple(x[i] for i in tail) for tail in tails])
+               for x in all_letters(nfh.sigma, m) if any(s != PAD for s in x)]
+    moves: dict[int, list] = {}  # ended tracks -> the letters that keep them ended
+    step, accepting = nfh.underlying._step, nfh.underlying.accepting
+    starts = itertools.product(sorted(nfh.underlying.initial), repeat=len(tails))
+    parent: dict[tuple, tuple] = {(states, 0): () for states in starts}
+    if any(accepting.issuperset(states) for states, _ in parent):
+        return Hyperword.of([()])
+    queue = deque(parent)
+    while queue:
+        states, ended = node = queue.popleft()
+        base = parent[node]
+        if ended not in moves:
+            moves[ended] = [l for l in letters if l[1] & ended == ended]
+        for x, now_ended, selections in moves[ended]:
+            targets = []
+            for q, sel in zip(states, selections):
+                nxt = step.get((q, sel))
+                if nxt is None:
+                    break
+                targets.append(nxt)
+            else:
+                for nxt in itertools.product(*targets):
+                    node = (nxt, now_ended)
+                    if node in parent:
+                        continue
+                    parent[node] = base + (x,)
+                    if accepting.issuperset(nxt):
+                        return Hyperword.of(unzip(ZipWord(m, parent[node])))
+                    queue.append(node)
+    return None
 
 
 # -------------------------------------------------- regular-language queries
@@ -639,6 +669,7 @@ def contains(a1: Nfh, a2: Nfh, max_k: int = DEFAULT_MAX_K) -> Optional[Hyperword
     pref = "".join(q.value for q in a2.prefix)
     if not re.fullmatch("A*E*", pref):
         raise Unsupported(f"right argument prefix {pref} is not forall*-exists*")
+    _require_cap(a1.k + a2.k, max_k)  # before complement's subset construction
     comp = complement(a2, max_k=max_k)
     m1 = sum(1 for q in a1.prefix if q is Quantifier.EXISTS)
     mc = sum(1 for q in comp.prefix if q is Quantifier.EXISTS)

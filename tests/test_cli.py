@@ -8,6 +8,7 @@ import pytest
 
 from hyperfa import canon, hfa, hre
 from hyperfa.cli import main as cli_main
+from hyperfa.fa import Fa
 from hyperfa.hfa import Hyperword, Quantifier, format_hyperword, format_nfh, parse_nfh
 
 import oracles
@@ -197,6 +198,19 @@ def test_resource_limit_exits_4(tmp_path, capsys):
     )
     path = write(tmp_path / "wide.nfh", format_nfh(wide))
     assert run_cli(["canon", path], capsys)[0] == 4
+
+
+def test_contains_and_equiv_past_the_arity_cap_exit_4(tmp_path, capsys, monkeypatch):
+    ee = write(tmp_path / "ee.nfh", format_nfh(hfa.make_nfh("ab", (E, E), 1, [0], [0], [])))
+    aaa = write(tmp_path / "aaa.nfh", format_nfh(hfa.make_nfh("ab", (A,) * 3, 1, [0], [0], [])))
+
+    def refuse(*args):
+        raise AssertionError("no subset construction past the arity cap")
+
+    monkeypatch.setattr(Fa, "determinize", refuse)
+    for command in ("contains", "equiv"):
+        code, out, err = run_cli([command, ee, aaa], capsys)
+        assert (code, out) == (4, "") and "arity 5 exceeds the cap of 4" in err
 
 
 def test_wide_header_empty_and_dot_exit_cleanly(tmp_path, capsys):

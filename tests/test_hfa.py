@@ -339,6 +339,62 @@ def test_nonempty_witnesses_recheck_and_agree_with_brute_force():
                 assert hfa.member(nfh, got)
 
 
+def test_nonempty_exists_forall_against_brute_force_at_arity_three_and_four():
+    # a witness of at most m words with no word longer than n_states + 1
+    # exists iff brute_nonempty finds one; a witness is as short as any
+    verdicts = set()
+    for prefix, seed in (("EEA", 71), ("EAA", 73), ("EEAA", 79), ("EAAA", 83)):
+        m = prefix.count("E")
+        for nfh in random_instances(12, seed, fixed_prefix=[Quantifier(c) for c in prefix]):
+            got = hfa.nonempty_exists_forall(nfh)
+            bound = nfh.underlying.n_states + 1
+            found = oracles.brute_nonempty(nfh, m, bound)
+            verdicts.add(got is None)
+            if found is None:
+                assert got is None or max(map(len, got)) > bound
+            else:
+                assert got is not None and max(map(len, got)) <= max(map(len, found))
+            if got is not None:
+                assert len(got) <= m and hfa.member(nfh, got)
+                assert oracles.brute_member(nfh, got.words)
+    assert verdicts == {True, False}
+
+
+def test_nonempty_exists_forall_keeps_ended_tracks_ended():
+    letters = all_letters("ab", 3)
+    # (a,#)(b,a) spells no word pair: x2 would restart after its pad
+    restart = hfa.make_nfh("ab", [E, E, A], 3, [0], [2], [
+        (0, ("a", PAD, "a"), 1), (0, ("a", PAD, PAD), 1),
+        (1, ("b", "a", "b"), 2), (1, ("b", "a", "a"), 2)])
+    assert hfa.nonempty_exists_forall(restart) is None
+    # x = (a,#) and x = (a,a) reach the same states, but only x2 = a can go on
+    go_on = hfa.make_nfh("ab", [E, E, A], 3, [0], [2],
+                         [(0, l, 1) for l in letters if l[0] == "a"]
+                         + [(1, l, 2) for l in letters if l[1] == "b"])
+    assert hfa.nonempty_exists_forall(go_on) == hw("a", "ab")
+
+
+def test_nonempty_exists_forall_builds_no_automaton(monkeypatch):
+    both = hfa.make_nfh("ab", [E, A], 2, [0], [1], [(0, ("a", "a"), 1), (0, ("a", "b"), 1)])
+    only_ab = single_word_nfh((E, A), "a", "b")
+    # x1 = a, x2 = b; the second acceptor also needs y1 = a, which y1 = x2 breaks
+    letters = [l for l in all_letters("ab", 4) if l[:2] == ("a", "b")]
+    eeaa = hfa.make_nfh("ab", [E, E, A, A], 2, [0], [1], [(0, l, 1) for l in letters])
+    y1_a = hfa.make_nfh("ab", [E, E, A, A], 2, [0], [1],
+                        [(0, l, 1) for l in letters if l[2] == "a"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exists*-forall* search builds no automaton")
+
+    for name in ("__init__", "remap_letters", "intersect"):
+        monkeypatch.setattr(Fa, name, refuse)
+    monkeypatch.setattr(hfa, "reachable_product", refuse)
+    assert hfa.nonempty_exists_forall(both) == hw("a")
+    assert hfa.nonempty_exists_forall(only_ab) is None
+    assert hfa.nonempty_exists_forall(eeaa) == hw("a", "b")
+    assert hfa.nonempty_exists_forall(y1_a) is None
+
+
 # ------------------------------------------------------- regular membership
 
 def test_regular_member_all_a_words():
@@ -472,6 +528,55 @@ def test_contains_forall_exists_right_operands_against_brute_force():
     assert verdicts == {True, False}
 
 
+def arity_four_pairs(seed=2026, count=60):
+    """Random operand pairs of total arity 4: left EE, AA or EA, right EE or
+    AA, up to 4 states each, density 0.25."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        left = rng.choice(("EE", "AA", "EA"))
+        right = rng.choice(("EE", "AA"))
+        yield tuple(oracles.random_nfh(rng, fixed_prefix=[Quantifier(c) for c in p],
+                                       max_states=4) for p in (left, right))
+
+
+def test_arity_four_contains_and_equivalent_against_brute_force():
+    # equivalent for an alternation-free left operand, contains for EA
+    pool = oracles.all_hyperwords("ab", 3, 2)
+    verdicts = set()
+    for a1, a2 in arity_four_pairs():
+        if a1.fragment is Fragment.EXISTS_FORALL:
+            directions = [(a1, a2)]
+            got = hfa.contains(a1, a2)
+            got = None if got is None else (got, "left_only")
+        else:
+            directions = [(a1, a2), (a2, a1)]
+            got = hfa.equivalent(a1, a2)
+        verdicts.add(got is None)
+        if got is None:
+            assert not any(oracles.brute_member(x, s) and not oracles.brute_member(y, s)
+                           for x, y in directions for s in pool)
+        else:
+            witness, side = got
+            x, y = directions[side == "right_only"]
+            assert oracles.brute_member(x, witness.words)
+            assert not oracles.brute_member(y, witness.words)
+    assert verdicts == {True, False}
+
+
+def test_contains_checks_the_arity_cap_before_complementing(monkeypatch):
+    ee = hfa.make_nfh("ab", [E, E], 1, [0], [0], [])
+    aaa = hfa.make_nfh("ab", [A, A, A], 1, [0], [0], [])
+
+    def refuse(*args):
+        raise AssertionError("no subset construction past the arity cap")
+
+    monkeypatch.setattr(Fa, "determinize", refuse)
+    with pytest.raises(ResourceLimit, match="arity 5 exceeds the cap of 4"):
+        hfa.contains(ee, aaa)
+    with pytest.raises(ResourceLimit, match="arity 5 exceeds the cap of 4"):
+        hfa.equivalent(ee, aaa)
+
+
 def test_equivalent_examples():
     small = compile_text("forall x. [a]*")
     big = compile_text("forall x. ([a]|[b])*")
@@ -583,6 +688,15 @@ def test_wide_header_is_cheap(text, member_wants, nonempty_wants):
     assert got == nonempty_wants
     assert elapsed < 0.05
     assert peak < 50e6
+
+
+def test_exists_forall_selection_letters_are_capped_before_listing():
+    # E^7 A^7 above the arity cap: 3^7 letters of x times 7^7 selections each
+    nfh = hfa.parse_nfh(k14_header("E" * 7 + "A" * 7, "state 0 init\n"))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="selection alphabet of 1801088541 letters"):
+        hfa.nonempty_exists_forall(nfh, max_k=14)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_acceptor_of_arity_forty_builds_and_prints():
