@@ -532,29 +532,16 @@ def nonempty_exists(nfh: Nfh) -> Optional[Hyperword]:
 
 
 def nonempty_forall(nfh: Nfh) -> Optional[Hyperword]:
-    """Witness singleton for a purely universal acceptor, or None."""
+    """Witness singleton for a purely universal acceptor, or None; its word
+    is the shortest, and first in letter order among the shortest."""
     if nfh.fragment is not Fragment.FORALL_ONLY:
         raise WrongFragment("nonempty_forall needs a purely universal prefix")
-
-    def diagonal(prev: Optional[Letter], nxt: Letter) -> bool:
-        return nxt[0] != PAD and all(s == nxt[0] for s in nxt)
-
-    found = nfh.underlying.shortest_accepted(diagonal)
-    if found is None:
-        return None
-    return Hyperword.of([tuple(l[0] for l in found)])
+    return _selection_search(nfh)
 
 
 def nonempty_exists_forall(nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> Optional[Hyperword]:
-    """Witness for an exists^m forall^(k-m) acceptor, or None.
-
-    Words x_1..x_m witness nonemptiness iff the underlying automaton accepts
-    every selection that reads the existential tracks as x and each
-    universal track as one of x.  A breadth-first search over zip letters of
-    x runs one copy of the automaton per selection; a node is (the copies'
-    states, the tracks of x that have ended), and the first node where every
-    copy accepts spells a shortest witness.
-    """
+    """Witness for an exists^m forall^(k-m) acceptor, or None.  Beyond E+,
+    it is the shortest, first in letter order among the shortest."""
     frag = nfh.fragment
     if frag is Fragment.EXISTS_ONLY:
         return nonempty_exists(nfh)
@@ -563,43 +550,61 @@ def nonempty_exists_forall(nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> Optional[Hyp
     if frag is not Fragment.EXISTS_FORALL:
         raise WrongFragment("prefix is not of the exists*-forall* shape")
     _require_cap(nfh.k, max_k)
-    m = sum(1 for q in nfh.prefix if q is Quantifier.EXISTS)
-    size = len(all_letters(nfh.sigma, m)) * m ** (nfh.k - m)
+    return _selection_search(nfh)
+
+
+def _selection_search(a1: Nfh, a2: Optional[Nfh] = None) -> Optional[Hyperword]:
+    """The shortest words x, first in letter order among the shortest, that
+    a1 accepts with its existentials as x and, given a2, a2 rejects with its
+    universals as x; None when there are none.
+
+    x is a1's existential words then a2's universal words, or one word when
+    there are none.  Each run reads one choice of a word of x for each other
+    track, as a subset of states that an all-pad letter leaves as it is.  A
+    breadth-first search over zip letters of x, in letter order, has nodes
+    (the subsets, the ended tracks of x as a bitmask) and drops a node with
+    an empty subset of a1.  It is deterministic over x, so the first node
+    where every subset of a1 and none of a2 accepts spells the least x.
+    """
+    m1 = a1.prefix.count(Quantifier.EXISTS)
+    m = m1 + (a2.prefix.count(Quantifier.FORALL) if a2 is not None else 0)
+    width = max(m, 1)
+    # each operand with the words of x its fixed tracks read and its side
+    operands = [(a1, range(m1), True)] + ([(a2, range(m1, m), False)] if a2 is not None else [])
+    size = len(all_letters(a1.sigma, width)) * sum(width ** (o.k - len(f)) for o, f, _ in operands)
     if size > MAX_LETTERS:
         raise ResourceLimit(
             f"selection alphabet of {size} letters exceeds the cap of {MAX_LETTERS}")
-    tails = list(itertools.product(range(m), repeat=nfh.k - m))
-    # each letter of x with its ended tracks as a bitmask and its selections
+    runs = [(o.underlying, (*fixed, *tail), left) for o, fixed, left in operands
+            for tail in itertools.product(range(width), repeat=o.k - len(fixed))]
+    # each letter of x, its ended tracks as a bitmask, each run's letter (None if all-pad)
     letters = [(x, sum(1 << i for i, s in enumerate(x) if s == PAD),
-                [x + tuple(x[i] for i in tail) for tail in tails])
-               for x in all_letters(nfh.sigma, m) if any(s != PAD for s in x)]
+                [None if all(x[i] == PAD for i in sel) else tuple(x[i] for i in sel)
+                 for _, sel, _ in runs])
+               for x in all_letters(a1.sigma, width) if any(s != PAD for s in x)]
     moves: dict[int, list] = {}  # ended tracks -> the letters that keep them ended
-    step, accepting = nfh.underlying._step, nfh.underlying.accepting
-    starts = itertools.product(sorted(nfh.underlying.initial), repeat=len(tails))
-    parent: dict[tuple, tuple] = {(states, 0): () for states in starts}
-    if any(accepting.issuperset(states) for states, _ in parent):
-        return Hyperword.of([()])
+    parent: dict[tuple, tuple] = {(tuple(frozenset(fa.initial) for fa, _, _ in runs), 0): ()}
     queue = deque(parent)
     while queue:
-        states, ended = node = queue.popleft()
-        base = parent[node]
+        subsets, ended = node = queue.popleft()
+        word = parent[node]
+        if all((not fa.accepting.isdisjoint(s)) is left
+               for (fa, _, left), s in zip(runs, subsets)):
+            return Hyperword.of(unzip(ZipWord(width, word)))
         if ended not in moves:
             moves[ended] = [l for l in letters if l[1] & ended == ended]
-        for x, now_ended, selections in moves[ended]:
-            targets = []
-            for q, sel in zip(states, selections):
-                nxt = step.get((q, sel))
-                if nxt is None:
-                    break
-                targets.append(nxt)
+        for x, now_ended, run_letters in moves[ended]:
+            nxt = []
+            for (fa, _, left), subset, letter in zip(runs, subsets, run_letters):
+                if letter is not None:
+                    subset = frozenset([r for q in subset for r in fa._step.get((q, letter), ())])
+                    if left and not subset:
+                        break
+                nxt.append(subset)
             else:
-                for nxt in itertools.product(*targets):
-                    node = (nxt, now_ended)
-                    if node in parent:
-                        continue
-                    parent[node] = base + (x,)
-                    if accepting.issuperset(nxt):
-                        return Hyperword.of(unzip(ZipWord(m, parent[node])))
+                node = (tuple(nxt), now_ended)
+                if node not in parent:
+                    parent[node] = word + (x,)
                     queue.append(node)
     return None
 
@@ -656,26 +661,20 @@ def _project_track(current: Fa, padded: Fa, sigma: tuple[str, ...], k: int) -> F
 
 def contains(a1: Nfh, a2: Nfh, max_k: int = DEFAULT_MAX_K) -> Optional[Hyperword]:
     """None iff every hyperword of a1 is one of a2; otherwise a witness
-    accepted by a1 only.
-
-    Supported pairs: a1 in {exists, forall, exists-forall}, a2 in
-    forall*-exists*, whose complement is exists*-forall*.  The complement
-    of a2 is interleaved as: the existentials of a1, those of the
-    complement, the universals of a1, those of the complement.
+    accepted by a1 only, the shortest and first in letter order among the
+    shortest.  Supported pairs: a1 in {exists, forall, exists-forall}, a2 in
+    forall*-exists*, which is searched along with a1 and never complemented.
     """
+    if a1.sigma != a2.sigma:
+        raise AlphabetMismatch("containment requires identical alphabets")
     f1 = a1.fragment
     if f1 is Fragment.OTHER:
         raise Unsupported(f"left argument fragment {f1.value} is not supported")
     pref = "".join(q.value for q in a2.prefix)
     if not re.fullmatch("A*E*", pref):
         raise Unsupported(f"right argument prefix {pref} is not forall*-exists*")
-    _require_cap(a1.k + a2.k, max_k)  # before complement's subset construction
-    comp = complement(a2, max_k=max_k)
-    m1 = sum(1 for q in a1.prefix if q is Quantifier.EXISTS)
-    mc = sum(1 for q in comp.prefix if q is Quantifier.EXISTS)
-    pattern = (0,) * m1 + (1,) * mc + (0,) * (a1.k - m1) + (1,) * (comp.k - mc)
-    diff = intersect(a1, comp, interleaving=pattern, max_k=max_k)
-    return nonempty_exists_forall(diff, max_k=max_k)
+    _require_cap(a1.k + a2.k, max_k)
+    return _selection_search(a1, a2)
 
 
 def equivalent(

@@ -185,6 +185,42 @@ def brute_nonempty(
     return None
 
 
+def least_selection_witness(
+    a1: hfa.Nfh, a2: Optional[hfa.Nfh], max_len: int
+) -> Optional[tuple[Word, ...]]:
+    """First tuple x of words of length at most max_len, in the order of
+    their zip encodings (length, then letters, '#' first), such that a1
+    accepts every selection that reads its existential tracks as x and its
+    other tracks as any words of x, and a2, if given, rejects every
+    selection that reads its universal tracks as the words of x after a1's
+    and its other tracks as any words of x.  x is one word when neither
+    operand fixes a track.  Returns the sorted distinct words of x, or None.
+    """
+    m1 = sum(1 for q in a1.prefix if q is hfa.Quantifier.EXISTS)
+    n2 = 0 if a2 is None else sum(1 for q in a2.prefix if q is hfa.Quantifier.FORALL)
+    width = max(m1 + n2, 1)
+    tuples = sorted(itertools.product(all_words(a1.sigma, max_len), repeat=width),
+                    key=lambda x: (len(oracle_zip(x)), oracle_zip(x)))
+
+    def verdicts(nfh: hfa.Nfh, fixed: hfa.Quantifier, x: tuple, first: int) -> list[bool]:
+        choices, i = [], first
+        for q in nfh.prefix:
+            if q is fixed:
+                choices.append([x[i]])
+                i += 1
+            else:
+                choices.append(x)
+        return [sim_accepts(nfh.underlying, oracle_zip(sel))
+                for sel in itertools.product(*choices)]
+
+    for x in tuples:
+        if not all(verdicts(a1, hfa.Quantifier.EXISTS, x, 0)):
+            continue
+        if a2 is None or not any(verdicts(a2, hfa.Quantifier.FORALL, x, m1)):
+            return tuple(sorted(set(x)))
+    return None
+
+
 # --------------------------------------------------------- random instances
 
 def random_nfh(

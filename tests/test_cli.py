@@ -213,6 +213,20 @@ def test_contains_and_equiv_past_the_arity_cap_exit_4(tmp_path, capsys, monkeypa
         assert (code, out) == (4, "") and "arity 5 exceeds the cap of 4" in err
 
 
+def test_contains_and_equiv_on_different_alphabets_exit_2(tmp_path, capsys, monkeypatch):
+    ab = write(tmp_path / "ab.nfh", format_nfh(hfa.make_nfh("ab", (A,), 1, [0], [0], [])))
+    abc = write(tmp_path / "abc.nfh", format_nfh(hfa.make_nfh("abc", (A,), 1, [0], [0], [])))
+
+    def refuse(*args):
+        raise AssertionError("no subset construction on different alphabets")
+
+    monkeypatch.setattr(Fa, "determinize", refuse)
+    for command in ("contains", "equiv"):
+        code, out, err = run_cli([command, ab, abc], capsys)
+        assert (code, out) == (2, "")
+        assert "containment requires identical alphabets" in err and "Traceback" not in err
+
+
 def test_wide_header_empty_and_dot_exit_cleanly(tmp_path, capsys):
     all_a = "(" + ",".join("a" * 14) + ")"
     cases = [

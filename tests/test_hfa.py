@@ -382,17 +382,33 @@ def test_nonempty_exists_forall_builds_no_automaton(monkeypatch):
     eeaa = hfa.make_nfh("ab", [E, E, A, A], 2, [0], [1], [(0, l, 1) for l in letters])
     y1_a = hfa.make_nfh("ab", [E, E, A, A], 2, [0], [1],
                         [(0, l, 1) for l in letters if l[2] == "a"])
+    # {a} is in both but not in ae, which needs a b for every a
+    ae = compile_text("forall x1. exists x2. ([a,b]|[b,a])*")
+    any_star, a_star = compile_text("forall x. ([a]|[b])*"), compile_text("forall x. [a]*")
+    a_plus = compile_text("exists x. [a][a]*")
+    aa, ab = a1_nfh(), single_word_nfh((E, E), "a", "b")
+    no_diagonal = single_word_nfh((A, A), "a", "b")
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the exists*-forall* search builds no automaton")
+        raise AssertionError("the selection search builds no automaton")
 
-    for name in ("__init__", "remap_letters", "intersect"):
+    for name in ("__init__", "determinize", "remap_letters", "intersect"):
         monkeypatch.setattr(Fa, name, refuse)
-    monkeypatch.setattr(hfa, "reachable_product", refuse)
+    for name in ("reachable_product", "complement", "intersect", "pad_normalize"):
+        monkeypatch.setattr(hfa, name, refuse)
     assert hfa.nonempty_exists_forall(both) == hw("a")
     assert hfa.nonempty_exists_forall(only_ab) is None
     assert hfa.nonempty_exists_forall(eeaa) == hw("a", "b")
     assert hfa.nonempty_exists_forall(y1_a) is None
+    assert hfa.contains(both, ae) == hw("a")
+    assert hfa.contains(any_star, a_plus) == hw("")
+    assert hfa.contains(a_star, a_plus) == hw("")
+    assert hfa.contains(a_plus, any_star) is None
+    assert hfa.equivalent(ab, aa) == (hw("", "a", "b"), "left_only")
+    assert hfa.equivalent(aa, a_star) == (hw("b"), "left_only")
+    assert hfa.equivalent(a_star, a_star) is None
+    assert hfa.nonempty_forall(aa) == hw("")
+    assert hfa.nonempty_forall(no_diagonal) is None
 
 
 # ------------------------------------------------------- regular membership
@@ -563,6 +579,42 @@ def test_arity_four_contains_and_equivalent_against_brute_force():
     assert verdicts == {True, False}
 
 
+def test_witnesses_are_the_least_selection_witness():
+    # the tie acceptors reach an accepting state on b from their first initial
+    # state and on a from their second; the least witness is a
+    rng = random.Random(2027)
+    tie_ea, tie_aa = (hfa.make_nfh("ab", prefix, 3, [0, 1], [2], [
+        (0, ("b", "b"), 2), (1, ("a", "a"), 2)]) for prefix in ([E, A], [A, A]))
+    never = hfa.make_nfh("ab", [E], 1, [0], [], [])
+    cases = [(tie_ea, None), (tie_aa, None), (tie_ea, never), (tie_aa, never)]
+
+    def draw(prefix):
+        return oracles.random_nfh(rng, fixed_prefix=[Quantifier(c) for c in prefix])
+
+    cases += [(draw(rng.choice(("EA", "EEA", "EAA"))), None) for _ in range(60)]
+    cases += [(draw(rng.choice(("A", "AA", "AAA"))), None) for _ in range(40)]
+    for _ in range(100):
+        left = rng.choice(("E", "A", "EA", "EE", "AA"))
+        right = rng.choice([r for r in ("A", "E", "AE", "AA", "EE") if len(left + r) <= 3])
+        cases.append((draw(left), draw(right)))
+    verdicts = set()
+    for a1, a2 in cases:
+        if a2 is not None:
+            got = hfa.contains(a1, a2)
+        elif a1.fragment is Fragment.FORALL_ONLY:
+            got = hfa.nonempty_forall(a1)
+        else:
+            got = hfa.nonempty_exists_forall(a1)
+        want = oracles.least_selection_witness(a1, a2, 3)
+        verdicts.add(want is None)
+        if want is None:
+            assert got is None or max(map(len, got)) > 3
+        else:
+            assert got is not None and got.words == want
+    assert verdicts == {True, False}
+    assert hfa.nonempty_exists_forall(tie_ea) == hfa.nonempty_forall(tie_aa) == hw("a")
+
+
 def test_contains_checks_the_arity_cap_before_complementing(monkeypatch):
     ee = hfa.make_nfh("ab", [E, E], 1, [0], [0], [])
     aaa = hfa.make_nfh("ab", [A, A, A], 1, [0], [0], [])
@@ -575,6 +627,19 @@ def test_contains_checks_the_arity_cap_before_complementing(monkeypatch):
         hfa.contains(ee, aaa)
     with pytest.raises(ResourceLimit, match="arity 5 exceeds the cap of 4"):
         hfa.equivalent(ee, aaa)
+
+
+def test_contains_checks_the_alphabets_before_any_work(monkeypatch):
+    ab = hfa.make_nfh("ab", [A], 1, [0], [0], [])
+    abc = hfa.make_nfh("abc", [A], 1, [0], [0], [])
+
+    def refuse(*args):
+        raise AssertionError("no subset construction on different alphabets")
+
+    monkeypatch.setattr(Fa, "determinize", refuse)
+    for call in (hfa.contains, hfa.equivalent):
+        with pytest.raises(AlphabetMismatch, match="containment requires identical alphabets"):
+            call(ab, abc)
 
 
 def test_equivalent_examples():
