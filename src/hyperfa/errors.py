@@ -77,11 +77,11 @@ class TableNotClosed(HyperfaError):
     """Internal: a candidate was requested from an unclosed table."""
 
 
-class QueryBudgetExceeded(HyperfaError):
+class QueryBudgetExceeded(ResourceLimit):
     """Closing the observation table exceeded the derived query budget."""
 
 
-class BudgetExceeded(HyperfaError):
+class BudgetExceeded(ResourceLimit):
     """The learner ran past config.max_iterations or config.max_k."""
 
 

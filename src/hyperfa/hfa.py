@@ -48,7 +48,6 @@ from .zipwords import (
     ZipWord,
     all_letters,
     check_symbol,
-    is_legal,
     parse_word,
     unzip,
     word_text,
@@ -178,22 +177,25 @@ def pad_normalize(fa: Fa, arity: int) -> Fa:
     return Fa(fa.alphabet, fa.n_states + 1, fa.initial, set(fa.accepting) | {tail}, trans)
 
 
-def pad_accept(fa: Fa, arity: int) -> Fa:
-    """Accept w whenever some w . pads^j is accepted (no new states)."""
-    pad = (PAD,) * arity
+def _coreachable(fa: Fa, only: Optional[Letter] = None) -> set[int]:
+    """States with a path to an accepting state, over only-edges if given."""
     rev: dict[int, set[int]] = {}
     for q, a, r in fa.transitions:
-        if a == pad:
+        if only is None or a == only:
             rev.setdefault(r, set()).add(q)
     closure = set(fa.accepting)
     frontier = list(closure)
     while frontier:
-        r = frontier.pop()
-        for q in rev.get(r, ()):
+        for q in rev.get(frontier.pop(), ()):
             if q not in closure:
                 closure.add(q)
                 frontier.append(q)
-    return Fa(fa.alphabet, fa.n_states, fa.initial, closure, fa.transitions)
+    return closure
+
+
+def pad_accept(fa: Fa, arity: int) -> Fa:
+    """Accept w whenever some w . pads^j is accepted (no new states)."""
+    return Fa(fa.alphabet, fa.n_states, fa.initial, _coreachable(fa, (PAD,) * arity), fa.transitions)
 
 
 def sequence_remap(fa: Fa, seq: Sequence[int], alphabet: Sequence[Letter]) -> Fa:
@@ -296,57 +298,40 @@ def member(nfh: Nfh, hw: Hyperword) -> bool:
 
 
 class _Residuals:
-    """The minimal DFA of a finite word set S, built lazily.
+    """The residuals of a trim word automaton over sigma, built lazily.
 
-    A state is a residual of S, the set of suffixes a track may still read,
-    held as a frozenset of interned suffix ids so that equal residuals are
-    one state.  table(r) maps each symbol r can read to the next residual,
-    and PAD to ENDED when r holds the empty suffix; ENDED reads only PAD.
+    A residual is a frozenset of states, interned as an id; out[q] lists
+    state q's (symbol, target) edges.  table(r) maps each symbol r reads to
+    the next residual, and PAD to ENDED, the empty set, when r meets the
+    accepting states; ENDED reads only PAD.
     """
 
     ENDED = 0
 
-    def __init__(self, words: Sequence[Word]):
-        # suffix 0 is the empty word; suffix s > 0 is head[s] then tail[s]
-        self._head: list[Optional[str]] = [None]
-        self._tail = [0]
-        interned: dict[tuple[str, int], int] = {}
-        self._start: dict[Word, int] = {}
-        for w in words:
-            s = 0
-            for sym in reversed(w):
-                nxt = interned.get((sym, s))
-                if nxt is None:
-                    nxt = interned[(sym, s)] = len(self._head)
-                    self._head.append(sym)
-                    self._tail.append(s)
-                s = nxt
-            self._start[w] = s
+    def __init__(self, out, accepting: frozenset[int]):
+        self._out = out
+        self._accepting = accepting
         self._ids: dict[frozenset[int], int] = {}
         self._sets: list[frozenset[int]] = [frozenset()]
         self._tables: list[Optional[dict[str, int]]] = [{PAD: self.ENDED}]
-        self.top = self._id(frozenset(self._start.values()))
 
-    def _id(self, suffixes: frozenset[int]) -> int:
-        r = self._ids.get(suffixes)
+    def of(self, states: frozenset[int]) -> int:
+        r = self._ids.get(states)
         if r is None:
-            r = self._ids[suffixes] = len(self._sets)
-            self._sets.append(suffixes)
+            r = self._ids[states] = len(self._sets)
+            self._sets.append(states)
             self._tables.append(None)
         return r
-
-    def single(self, w: Word) -> int:
-        return self._id(frozenset((self._start[w],)))
 
     def table(self, r: int) -> dict[str, int]:
         table = self._tables[r]
         if table is None:
             nxt: dict[str, set[int]] = {}
-            for s in self._sets[r]:
-                if s:
-                    nxt.setdefault(self._head[s], set()).add(self._tail[s])
-            table = {sym: self._id(frozenset(ss)) for sym, ss in nxt.items()}
-            if 0 in self._sets[r]:
+            for q in self._sets[r]:
+                for sym, t in self._out[q]:
+                    nxt.setdefault(sym, set()).add(t)
+            table = {sym: self.of(frozenset(ts)) for sym, ts in nxt.items()}
+            if not self._accepting.isdisjoint(self._sets[r]):
                 table[PAD] = self.ENDED
             self._tables[r] = table
         return table
@@ -355,15 +340,23 @@ class _Residuals:
 def _search_member(nfh: Nfh, words: Sequence[Word], outer: int) -> bool:
     """member with the innermost quantifier block, tracks outer..k-1, decided
     by _block_search for each assignment of the outer tracks."""
-    residuals = _Residuals(words)
+    # S's suffix automaton: suffix 0 is the empty word, s > 0 a (symbol, tail) edge
+    ids: dict[tuple[str, int], int] = {}
+    starts = []
+    for w in words:
+        s = 0
+        for sym in reversed(w):
+            s = ids.setdefault((sym, s), len(ids) + 1)
+        starts.append(s)
+    residuals = _Residuals([()] + [(edge,) for edge in ids], frozenset((0,)))
     prefix = nfh.prefix
-    inner = (residuals.top,) * (nfh.k - outer)
+    inner = (residuals.of(frozenset(starts)),) * (nfh.k - outer)
     exists = prefix[-1] is Quantifier.EXISTS
 
     def rec(i: int, chosen: tuple[int, ...]) -> bool:
         if i == outer:
             return _block_search(nfh.underlying, residuals, chosen + inner, exists)
-        branches = (rec(i + 1, chosen + (residuals.single(w),)) for w in words)
+        branches = (rec(i + 1, chosen + (residuals.of(frozenset((s,))),)) for s in starts)
         if prefix[i] is Quantifier.EXISTS:
             return any(branches)
         return all(branches)
@@ -372,12 +365,12 @@ def _search_member(nfh: Nfh, words: Sequence[Word], outer: int) -> bool:
 
 
 def _block_search(fa: Fa, residuals: _Residuals, start: tuple[int, ...], exists: bool) -> bool:
-    """Decide one quantifier block over S by a search of configurations.
+    """Decide one quantifier block by a search of configurations.
 
     A configuration is (subset of fa states, residual of each track); start
-    holds singleton residuals for fixed tracks and S for quantified ones.
+    holds a fixed track's word and a quantified track's whole set.
     Letters are read as in zip encodings: a track reads a symbol of its
-    residual or, once its residual holds the empty suffix, pad for good; the
+    residual or, once its word can end there, pad for good; the
     all-pad letter is never read.  At a configuration where every track can
     end, the subset decides the assignment it spells.  For EXISTS the block
     holds iff some such subset meets the accepting states.  For FORALL it
@@ -615,33 +608,37 @@ def _selection_search(a1: Nfh, a2: Optional[Nfh] = None) -> Optional[Hyperword]:
 def regular_member(lang: Fa, nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> bool:
     """Decide whether the whole regular language L(lang) is accepted.
 
-    Quantifiers are eliminated innermost first: the last track is projected
-    through lang extended with a pad tail, wrapped in a complement pair when
-    that variable is universal.  Each projection is closed under trailing
-    all-pad letters so longer instantiations of the variables still pending
-    keep matching.
+    The outermost quantifier block is one _block_search, every track on
+    lang's live states.  As L's words cannot be listed, the tracks inside
+    it are first projected away, innermost first, through lang with a pad
+    tail and closed under trailing pads.  The automaton stands for the rest
+    of the formula, or its negation under a universal, and is minimized and
+    complemented only where the quantifier kind changes.
     """
     if tuple(sorted(lang.alphabet)) != nfh.sigma:
         raise AlphabetMismatch("regular language and acceptor declare different alphabets")
-    if lang.is_empty():
+    live = _coreachable(lang)  # trims lang: residuals hold only reachable states
+    if live.isdisjoint(lang.initial):
         raise EmptyRegularLanguage("membership of the empty language is undefined")
     _require_cap(nfh.k, max_k)
-    lifted = lang.remap_letters(lambda l: l[0], all_letters(nfh.sigma, 1))
-    padded = pad_normalize(lifted, 1)
-    current = pad_normalize(nfh.underlying, nfh.k)
-    prefix = list(nfh.prefix)
-    k = nfh.k
-    while k > 1:
-        innermost = prefix.pop()
-        if innermost is Quantifier.FORALL:
-            current = current.complement()
+    prefix = nfh.prefix
+    m = 1  # tracks of the outermost block
+    while m < nfh.k and prefix[m] is prefix[0]:
+        m += 1
+    current, negated = nfh.underlying, False
+    if m < nfh.k:
+        padded = pad_normalize(lang.remap_letters(lambda l: l[0], all_letters(nfh.sigma, 1)), 1)
+        current = pad_normalize(current, nfh.k)
+    for k in range(nfh.k, m, -1):
+        if negated is not (prefix[k - 1] is Quantifier.FORALL):
+            current, negated = current.minimize().complement(), not negated
         current = _project_track(current, padded, nfh.sigma, k)
-        if innermost is Quantifier.FORALL:
-            current = current.complement()
-        k -= 1
-    if prefix[0] is Quantifier.FORALL:
-        return current.contains(lifted) is None
-    return current.intersect(lifted).shortest_accepted() is not None
+    residuals = _Residuals({q: [(a, r) for a, r in lang._out.get(q, ()) if r in live]
+                            for q in live}, lang.accepting)
+    start = (residuals.of(lang.initial & live),) * m
+    # a block over a negation holds iff the dual block over it fails
+    exists = (prefix[0] is Quantifier.EXISTS) is not negated
+    return _block_search(current, residuals, start, exists) is not negated
 
 
 def _project_track(current: Fa, padded: Fa, sigma: tuple[str, ...], k: int) -> Fa:

@@ -97,6 +97,7 @@ class ObservationTable:
         self.columns: list[ZipWord] = [ZipWord(k, ())]
         self.trace = trace
         self.budget = budget if budget is not None else [1_000_000]
+        self.query_cap = self.budget[0]
         self._cache: dict[tuple[Letter, ...], bool] = {}
 
     def entry_letters(self, word: tuple[Letter, ...]) -> bool:
@@ -108,7 +109,7 @@ class ObservationTable:
         else:
             hw = Hyperword.of(unzip(zw))
             if self.budget[0] <= 0:
-                raise QueryBudgetExceeded("membership query budget exhausted")
+                raise QueryBudgetExceeded(f"membership queries exceed the cap of {self.query_cap}")
             self.budget[0] -= 1
             value = self.teacher.member(hw)
             if self.trace:
@@ -142,6 +143,7 @@ def lift_table(table: ObservationTable, k_new: int) -> ObservationTable:
     lifted = ObservationTable(
         table.teacher, table.sigma, k_new, trace=table.trace, budget=table.budget
     )
+    lifted.query_cap = table.query_cap
     lifted.rows = [lift(d, k_new) for d in table.rows]
     lifted.columns = [lift(e, k_new) for e in table.columns]
     return lifted
@@ -222,7 +224,7 @@ def learn(
     while True:
         iteration[0] += 1
         if iteration[0] > config.max_iterations:
-            raise BudgetExceeded(f"no convergence in {config.max_iterations} iterations")
+            raise BudgetExceeded(f"learner iterations exceed the cap of {config.max_iterations}")
         measure = len(table.rows) + len(table.columns) + table.k
         close_and_consist(table)
         candidate = build_candidate(table, fragment)
@@ -250,7 +252,7 @@ def learn(
             if len(counterexample) > table.k:
                 k_new = len(counterexample)
                 if k_new > config.max_k:
-                    raise BudgetExceeded(f"needed more than {config.max_k} variables")
+                    raise BudgetExceeded(f"{k_new} variables exceed the cap of {config.max_k}")
                 table = lift_table(table, k_new)
                 emit("lift", {"to": k_new})
                 table.add_column_with_suffixes(zip_words(counterexample.words))

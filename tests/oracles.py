@@ -253,6 +253,19 @@ def random_nfh(
     return hfa.make_nfh(sigma, prefix, n, initial, accepting, transitions)
 
 
+def random_fa(rng: random.Random, sigma: Sequence[str], max_states: int, density: float) -> Fa:
+    """Word automaton over sigma with 1..max_states states, each (state,
+    symbol, state) edge drawn with chance density, and random nonempty
+    initial and accepting sets; dead, unreachable and equivalent states
+    stay in.  The Fa is only data: no package algorithm runs on it."""
+    n = rng.randint(1, max_states)
+    transitions = [(q, a, r) for q in range(n) for a in sigma for r in range(n)
+                   if rng.random() < density]
+    initial = [q for q in range(n) if rng.random() < 0.5] or [rng.randrange(n)]
+    accepting = [q for q in range(n) if rng.random() < 0.5] or [rng.randrange(n)]
+    return Fa(tuple(sigma), n, initial, accepting, transitions)
+
+
 def random_word(rng: random.Random, sigma: Sequence[str], max_len: int) -> Word:
     return tuple(rng.choice(sigma) for _ in range(rng.randint(0, max_len)))
 

@@ -358,7 +358,7 @@ def test_learn_variable_cap_is_an_error(tmp_path, capsys):
         ["learn", "--target", target_path, "--fragment", "forall", "--max-k", "1"],
         capsys,
     )
-    assert code == 2 and "variables" in err
+    assert code == 4 and "variables" in err and "cap of 1" in err
 
 
 # ------------------------------------------------------- installed command

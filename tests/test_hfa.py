@@ -466,6 +466,70 @@ def test_regular_member_respects_quantifier_order():
     assert not hfa.regular_member(lang, ea)
 
 
+def random_infinite_fa(rng):
+    while True:
+        lang = oracles.random_fa(rng, "ab", 4, 0.3)
+        n = lang.n_states
+        # n states accept infinitely many words iff one of length n..2n-1
+        if any(len(w) >= n for w in oracles.enumerate_language(lang, 2 * n - 1)):
+            return lang
+
+
+def test_regular_member_on_finite_automata_against_brute_force():
+    # L(fa) cut to words of length <= 3 by a length counter, state i*n + q
+    # after i letters: several initial, dead and equivalent states occur
+    rng = random.Random(83)
+    shapes = {"initial": 0, "dead": 0, "equivalent": 0, "empty": 0}
+    for k in (1, 2, 3):
+        for prefix in itertools.product((A, E), repeat=k):
+            for _ in range(10):
+                fa = oracles.random_fa(rng, "ab", 4, 0.3)
+                n = fa.n_states
+                lang = Fa("ab", 4 * n, fa.initial, [i * n + q for q in fa.accepting for i in range(4)],
+                          [(i * n + q, a, (i + 1) * n + r) for q, a, r in fa.transitions
+                           for i in range(3)])
+                suffixes = [oracles.enumerate_language(
+                    Fa("ab", 4 * n, [q], lang.accepting, lang.transitions), 3) for q in range(4 * n)]
+                shapes["initial"] += len(lang.initial) > 1
+                shapes["dead"] += not all(suffixes)
+                shapes["equivalent"] += any(suffixes[p] and suffixes[p] == suffixes[q]
+                                            for p in range(4 * n) for q in range(p))
+                nfh = oracles.random_nfh(rng, fixed_prefix=prefix, max_states=3)
+                words = oracles.enumerate_language(lang, 3)
+                if not words:
+                    shapes["empty"] += 1
+                    with pytest.raises(EmptyRegularLanguage):
+                        hfa.regular_member(lang, nfh)
+                    continue
+                assert hfa.regular_member(lang, nfh) == oracles.brute_member(nfh, words), (
+                    prefix, fa.transitions, fa.initial, fa.accepting, nfh.underlying.transitions)
+    assert min(shapes.values()) >= 10, shapes
+
+
+def test_regular_member_on_infinite_languages(monkeypatch):
+    rng = random.Random(89)
+    cases = []
+    for prefix in ("AAA", "EEE", "EAA", "AAE", "EAE"):
+        for _ in range(8):
+            nfh = oracles.random_nfh(rng, fixed_prefix=[Quantifier(c) for c in prefix],
+                                     max_states=3)
+            cases.append((random_infinite_fa(rng), nfh, hfa.complement(nfh)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an alternation-free prefix was projected or complemented")
+
+    start = time.monotonic()
+    for lang, nfh, dual in cases:
+        with monkeypatch.context() as m:
+            if nfh.fragment in (Fragment.EXISTS_ONLY, Fragment.FORALL_ONLY):
+                m.setattr(hfa, "_project_track", refuse)
+                m.setattr(Fa, "complement", refuse)
+                m.setattr(Fa, "determinize", refuse)
+            verdict = hfa.regular_member(lang, nfh)
+            assert hfa.regular_member(lang, dual) is not verdict
+    assert time.monotonic() - start < 5
+
+
 # ----------------------------------------------------- containment / equiv
 
 def test_contains_reflexive():

@@ -359,6 +359,21 @@ def test_learn_iteration_budget():
         )
 
 
+def test_learner_budgets_are_resource_limits_naming_their_caps():
+    teacher = learn.AutomatedTeacher(compile_text("forall x. [a]*"))
+    table = learn.ObservationTable(teacher, "ab", budget=[1])
+    table.entry_letters((("a",),))
+    # a lifted table shares the count and keeps the cap
+    with pytest.raises(ResourceLimit, match="membership queries exceed the cap of 1"):
+        learn.lift_table(table, 2).entry_letters((("a", "b"),))
+    with pytest.raises(ResourceLimit, match="2 variables exceed the cap of 1"):
+        learn.learn(learn.AutomatedTeacher(compile_text(A1_TEXT)), Fragment.FORALL_ONLY,
+                    config=learn.LearnerConfig(max_k=1))
+    with pytest.raises(ResourceLimit, match="learner iterations exceed the cap of 1"):
+        learn.learn(learn.AutomatedTeacher(compile_text(A3_TEXT)), Fragment.FORALL_ONLY,
+                    config=learn.LearnerConfig(max_iterations=1))
+
+
 def test_learn_detects_inconsistent_teacher():
     # claims the candidate accepts {a} although it rejects everything
     teacher = ScriptedTeacher(
