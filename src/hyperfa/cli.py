@@ -2,17 +2,17 @@
 
 Boolean outcomes are encoded in the exit code (0 = yes, 1 = no); exit 2
 flags parse or usage problems, 3 an unsupported quantifier fragment, 4 a
-resource cap.
+resource cap.  ``compile``, ``canon`` and ``learn`` import their modules
+inside the command, so the decision subcommands load only errors, zipwords,
+fa and hfa.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
-from . import canon, hre
 from .errors import (
     FormatError,
     HyperfaError,
@@ -34,7 +34,6 @@ from .hfa import (
     parse_hyperword,
     parse_nfh,
 )
-from .learn import AutomatedTeacher, LearnerConfig, learn
 
 
 def _read(path: str) -> str:
@@ -55,6 +54,8 @@ def _load_nfh(path: str) -> Nfh:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    from . import hre
+
     ast = hre.parse(_read(args.hre))
     if args.sigma:
         sigma = [s for s in args.sigma.split(",") if s]
@@ -110,6 +111,10 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
+    import json
+
+    from .learn import AutomatedTeacher, LearnerConfig, learn
+
     target = _load_nfh(args.target)
     fragment = Fragment.FORALL_ONLY if args.fragment == "forall" else Fragment.EXISTS_ONLY
     config = LearnerConfig(max_k=args.max_k)
@@ -163,6 +168,8 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_canon(args: argparse.Namespace) -> int:
+    from . import canon
+
     nfh = _load_nfh(args.nfh)
     if args.close:
         if nfh.fragment is Fragment.FORALL_ONLY:

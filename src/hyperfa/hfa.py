@@ -631,7 +631,10 @@ def regular_member(lang: Fa, nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> bool:
         current = pad_normalize(current, nfh.k)
     for k in range(nfh.k, m, -1):
         if negated is not (prefix[k - 1] is Quantifier.FORALL):
-            current, negated = current.minimize().complement(), not negated
+            dfa = current.minimize()  # complete, so flipping acceptance complements it
+            current = Fa._sorted(dfa.alphabet, dfa.n_states, dfa.initial,
+                                 set(range(dfa.n_states)) - dfa.accepting, dfa.transitions)
+            negated = not negated
         current = _project_track(current, padded, nfh.sigma, k)
     residuals = _Residuals({q: [(a, r) for a, r in lang._out.get(q, ()) if r in live]
                             for q in live}, lang.accepting)

@@ -389,6 +389,43 @@ def test_module_entry_point_writes_nothing_to_stderr():
     assert done.stderr == ""
 
 
+def loaded_modules(setup, runs=()):
+    """The package's modules loaded in a fresh interpreter by setup and
+    cli main on each argument list; every run must exit 0 or 1."""
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        setup,
+        "codes = []",
+        f"for args in {list(runs)!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        codes.append(main(args))",
+        # only the package's own modules: site hooks may load stdlib ones
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('hyperfa'))]))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    codes, modules = json.loads(done.stdout)
+    assert all(code in (0, 1) for code in codes), (runs, codes)
+    return set(modules)
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, capsys):
+    policy = compile_to(tmp_path, "a1", A1_TEXT, capsys)
+    pair = compile_to(tmp_path, "pair", "exists x1. forall x2. ([a,a]|[b,a])*\n", capsys)
+    hw = write(tmp_path / "ab.hw", "ab\nab\n")
+    edges = write(tmp_path / "k3.edges", "1 2\n2 3\n1 3\n")
+    source = write(tmp_path / "a1.hre", A1_TEXT)
+    cli = "from hyperfa.cli import main"
+    kernel = {"hyperfa", "hyperfa.cli", "hyperfa.errors", "hyperfa.fa", "hyperfa.hfa",
+              "hyperfa.zipwords"}
+    assert loaded_modules("import hyperfa") == {"hyperfa"}
+    decisions = [["dot", policy], ["member", policy, hw], ["empty", pair],
+                 ["contains", pair, policy], ["equiv", policy, policy], ["gen-ham", edges]]
+    assert loaded_modules(cli, decisions) == kernel
+    assert loaded_modules(cli, [["compile", source]]) == kernel | {"hyperfa.hre"}
+    assert loaded_modules(cli, [["canon", policy]]) == kernel | {"hyperfa.canon"}
+
+
 # ------------------------------------------------- corpus: CLI == library
 
 def test_cli_member_matches_library_on_random_corpus(tmp_path, capsys):

@@ -98,6 +98,17 @@ def test_complement_deterministic_complete():
             assert len(comp.step(frozenset([q]), letter)) == 1
 
 
+def test_complement_of_a_minimal_dfa_only_flips_its_accepting_states():
+    # regular_member complements a minimized automaton by this flip alone
+    rng = random.Random(5)
+    for _ in range(500):
+        m = oracles.random_fa(rng, "abc", 6, rng.choice((0.1, 0.25, 0.5))).minimize()
+        comp = m.complement()
+        assert (comp.n_states, comp.initial, comp.transitions) == (m.n_states, m.initial,
+                                                                    m.transitions)
+        assert comp.accepting == set(range(m.n_states)) - m.accepting
+
+
 def test_intersect_union_against_enumeration():
     a, b = fa_astar_b(), fa_abstar()
     both = a.intersect(b)
