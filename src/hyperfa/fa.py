@@ -125,11 +125,12 @@ class Fa:
         order = [start]
         trans: list[tuple[int, LetterT, int]] = []
         empty: frozenset[int] = frozenset()
+        out = self._out
         for sid, subset in enumerate(order):  # order grows as subsets are found
             # the subset's out-edges once, then every letter for completeness
             moves: dict[LetterT, set[int]] = {}
             for q in subset:
-                for _q, a, r in self._edges(q):
+                for a, r in out.get(q, ()):
                     moves.setdefault(a, set()).add(r)
             for letter in self.alphabet:
                 nxt = frozenset(moves[letter]) if letter in moves else empty
@@ -186,10 +187,10 @@ class Fa:
     def intersect(self, other: "Fa") -> "Fa":
         """Reachable product automaton."""
         self._require_same_alphabet(other)
-        step = other._step
+        out, step = self._out, other._step
 
         def moves(q: int, p: int) -> list[tuple[LetterT, int, int]]:
-            return [(a, q2, p2) for _q, a, q2 in self._edges(q) for p2 in step.get((p, a), ())]
+            return [(a, q2, p2) for a, q2 in out.get(q, ()) for p2 in step.get((p, a), ())]
 
         return reachable_product(self, other, self.alphabet, moves)
 
@@ -197,10 +198,11 @@ class Fa:
         """Disjoint union (other's states shifted by self.n_states)."""
         self._require_same_alphabet(other)
         off = self.n_states
-        trans = list(self.transitions) + [
+        # sorted and distinct: other's shifted states all follow self's
+        trans = self.transitions + tuple(
             (q + off, a, r + off) for q, a, r in other.transitions
-        ]
-        return Fa(
+        )
+        return Fa._sorted(
             self.alphabet,
             self.n_states + other.n_states,
             list(self.initial) + [q + off for q in other.initial],
@@ -264,7 +266,9 @@ class Fa:
             for old in olds:
                 for q, r in by_letter.get(old, ()):
                     trans.append((q, a, r))
-        return Fa(new_alphabet, self.n_states, self.initial, self.accepting, trans)
+        # a TupleAlphabet is kept as given; Fa sorts and dedupes a plain one
+        build = Fa._sorted if isinstance(new_alphabet, TupleAlphabet) else Fa
+        return build(new_alphabet, self.n_states, self.initial, self.accepting, sorted(set(trans)))
 
     # -------------------------------------------------------------- display
 
@@ -305,10 +309,11 @@ def reachable_product(
     alphabet: Iterable[LetterT],
     moves: Callable[[int, int], Iterable[tuple[LetterT, int, int]]],
 ) -> Fa:
-    """Automaton over alphabet whose states are the pairs (q, p) of a state
-    of a and a state of b reachable from the initial pairs, numbered in BFS
-    order.  moves(q, p) gives the (letter, q2, p2) steps leaving (q, p); a
-    pair accepts when both of its states accept."""
+    """Automaton over alphabet (an Fa.alphabet) whose states are the pairs
+    (q, p) of a state of a and a state of b reachable from the initial
+    pairs, numbered in BFS order.  moves(q, p) gives the distinct
+    (letter, q2, p2) steps leaving (q, p), in any order; a pair accepts when
+    both of its states accept.  The result is built without checks."""
     order = [(q, p) for q in sorted(a.initial) for p in sorted(b.initial)]
     ids = {pair: i for i, pair in enumerate(order)}
     n_initial = len(order)
@@ -321,4 +326,5 @@ def reachable_product(
                 order.append((q2, p2))
             trans.append((sid, letter, nid))
     accepting = [i for i, (q, p) in enumerate(order) if q in a.accepting and p in b.accepting]
-    return Fa(alphabet, max(len(order), 1), range(n_initial), accepting, trans)
+    trans.sort()  # near linear: the pairs' ids ascend, and so do most moves
+    return Fa._sorted(alphabet, max(len(order), 1), range(n_initial), accepting, trans)

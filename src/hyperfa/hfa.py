@@ -174,7 +174,7 @@ def pad_normalize(fa: Fa, arity: int) -> Fa:
     tail = fa.n_states
     trans += [(q, pad, tail) for q in sorted(fa.accepting)]
     trans.append((tail, pad, tail))
-    return Fa(fa.alphabet, fa.n_states + 1, fa.initial, set(fa.accepting) | {tail}, trans)
+    return Fa._sorted(fa.alphabet, tail + 1, fa.initial, fa.accepting | {tail}, sorted(trans))
 
 
 def _coreachable(fa: Fa, only: Optional[Letter] = None) -> set[int]:
@@ -195,7 +195,8 @@ def _coreachable(fa: Fa, only: Optional[Letter] = None) -> set[int]:
 
 def pad_accept(fa: Fa, arity: int) -> Fa:
     """Accept w whenever some w . pads^j is accepted (no new states)."""
-    return Fa(fa.alphabet, fa.n_states, fa.initial, _coreachable(fa, (PAD,) * arity), fa.transitions)
+    return Fa._sorted(fa.alphabet, fa.n_states, fa.initial, _coreachable(fa, (PAD,) * arity),
+                      fa.transitions)
 
 
 def sequence_remap(fa: Fa, seq: Sequence[int], alphabet: Sequence[Letter]) -> Fa:
@@ -236,7 +237,8 @@ def zip_filter_fa(sigma: Iterable[str], k: int) -> Fa:
             if len(dead) == k or not s <= dead:
                 continue
             trans.append((ids[s], letter, ids[dead]))
-    return Fa(alphabet, len(subsets), [ids[frozenset()]], range(len(subsets)), trans)
+    # sorted and distinct: subsets in id order, letters in order, one target each
+    return Fa._sorted(alphabet, len(subsets), [ids[frozenset()]], range(len(subsets)), trans)
 
 
 # ---------------------------------------------------------------- semantics
@@ -570,11 +572,6 @@ def _selection_search(a1: Nfh, a2: Optional[Nfh] = None) -> Optional[Hyperword]:
             f"selection alphabet of {size} letters exceeds the cap of {MAX_LETTERS}")
     runs = [(o.underlying, (*fixed, *tail), left) for o, fixed, left in operands
             for tail in itertools.product(range(width), repeat=o.k - len(fixed))]
-    # each letter of x, its ended tracks as a bitmask, each run's letter (None if all-pad)
-    letters = [(x, sum(1 << i for i, s in enumerate(x) if s == PAD),
-                [None if all(x[i] == PAD for i in sel) else tuple(x[i] for i in sel)
-                 for _, sel, _ in runs])
-               for x in all_letters(a1.sigma, width) if any(s != PAD for s in x)]
     moves: dict[int, list] = {}  # ended tracks -> the letters that keep them ended
     parent: dict[tuple, tuple] = {(tuple(frozenset(fa.initial) for fa, _, _ in runs), 0): ()}
     queue = deque(parent)
@@ -585,6 +582,12 @@ def _selection_search(a1: Nfh, a2: Optional[Nfh] = None) -> Optional[Hyperword]:
                for (fa, _, left), s in zip(runs, subsets)):
             return Hyperword.of(unzip(ZipWord(width, word)))
         if ended not in moves:
+            if not moves:  # past the root: each letter of x, its ended tracks as
+                # a bitmask, each run's letter (None if all-pad)
+                letters = [(x, sum(1 << i for i, s in enumerate(x) if s == PAD),
+                            [None if all(x[i] == PAD for i in sel) else tuple(x[i] for i in sel)
+                             for _, sel, _ in runs])
+                           for x in all_letters(a1.sigma, width) if any(s != PAD for s in x)]
             moves[ended] = [l for l in letters if l[1] & ended == ended]
         for x, now_ended, run_letters in moves[ended]:
             nxt = []
@@ -650,8 +653,9 @@ def _project_track(current: Fa, padded: Fa, sigma: tuple[str, ...], k: int) -> F
     step = padded._step
 
     def moves(q: int, p: int) -> list[tuple[Letter, int, int]]:
-        return [(l[:-1], q2, p2) for _q, l, q2 in current._edges(q)
-                for p2 in step.get((p, l[-1:]), ())]
+        # dropping the last component can repeat a step
+        return list(dict.fromkeys((l[:-1], q2, p2) for _q, l, q2 in current._edges(q)
+                                  for p2 in step.get((p, l[-1:]), ())))
 
     return pad_accept(reachable_product(current, padded, all_letters(sigma, k - 1), moves), k - 1)
 

@@ -11,6 +11,8 @@ from hyperfa.zipwords import all_letters
 
 import oracles
 
+E, A = hfa.Quantifier.EXISTS, hfa.Quantifier.FORALL
+
 
 def fa_astar_b():
     # a*b
@@ -337,20 +339,87 @@ def test_determinize_matches_subset_oracle():
     assert oracles.fa_shape(pairs.determinize()) == oracles.subset_dfa(pairs)
 
 
+def assert_equals_checked(out):
+    """The checked constructor gives an equal automaton from out's parts."""
+    checked = Fa(out.alphabet, out.n_states, out.initial, out.accepting, out.transitions)
+    assert type(out.alphabet) is type(checked.alphabet)
+    assert out.alphabet == checked.alphabet
+    assert oracles.fa_shape(out) == oracles.fa_shape(checked)
+    assert out._alphabet_set == checked._alphabet_set
+    assert out._step == checked._step
+
+
 def test_unchecked_results_equal_checked_construction():
-    # determinize, complement and minimize build their results unchecked;
-    # the checked constructor must give an equal automaton from their parts
+    # the subset constructions, products, union, tuple-alphabet remaps,
+    # pad_normalize, pad_accept and zip_filter_fa build their results unchecked
     rng = random.Random(19)
-    for i in range(150):
-        letters = all_letters("ab", 2) if i % 5 == 4 else "abc"[: 1 + i % 3]
-        a = random_fa(rng, rng.randint(1, 6), letters, (0.1, 0.25, 0.5)[i % 3])
-        for out in (a.determinize(), a.complement(), a.minimize()):
-            checked = Fa(out.alphabet, out.n_states, out.initial, out.accepting, out.transitions)
-            assert type(out.alphabet) is type(checked.alphabet)
-            assert out.alphabet == checked.alphabet
-            assert oracles.fa_shape(out) == oracles.fa_shape(checked)
-            assert out._alphabet_set == checked._alphabet_set
-            assert out._step == checked._step
+    pairs = all_letters("ab", 2)
+    several_targets = 0  # products with a (state, letter) of several targets
+    for i in range(300):
+        letters = pairs if i % 5 == 4 else "abc"[: 1 + i % 3]
+        a, b = (random_fa(rng, rng.randint(1, 6), letters, (0.1, 0.25, 0.5)[i % 3])
+                for _ in range(2))
+        product = a.intersect(b)
+        several_targets += any(len(targets) > 1 for targets in product._step.values())
+        outs = [a.determinize(), a.complement(), a.minimize(), product, a.union(b)]
+        if letters is pairs:
+            outs += [a.remap_letters(lambda l: (l[1], l[0]), pairs),
+                     a.remap_letters(lambda l: {(l[0], l[0]), (l[1], l[1])}, pairs),
+                     hfa.pad_normalize(a, 2), hfa.pad_accept(a, 2)]
+        else:
+            outs.append(a.remap_letters(lambda l: l[0], all_letters(letters, 1)))
+        for out in outs:
+            assert_equals_checked(out)
+    assert several_targets >= 100
+    for sigma, k in itertools.product(("a", "ab", "abc"), (1, 2, 3)):
+        assert_equals_checked(hfa.zip_filter_fa(sigma, k))
+
+
+def test_hfa_products_equal_checked_construction():
+    rng = random.Random(29)
+    for i in range(60):
+        k1, k2 = 1 + i % 2, 1 + i // 2 % 2
+        n1, n2 = (hfa.Nfh("ab", [rng.choice((E, A)) for _ in range(k)],
+                          random_fa(rng, rng.randint(1, 4), all_letters("ab", k), 0.2))
+                  for k in (k1, k2))
+        pattern = rng.sample([0] * k1 + [1] * k2, k1 + k2)
+        for interleaving in (None, pattern):
+            assert_equals_checked(hfa.intersect(n1, n2, interleaving).underlying)
+    # both ("a", "a") and ("a", "b") step 0 to 1, and padded reads a and b
+    # alike, so dropping the last component gives the step ("a",) twice
+    current = Fa(all_letters("ab", 2), 2, [0], [1], [(0, ("a", "a"), 1), (0, ("a", "b"), 1)])
+    padded = Fa(all_letters("ab", 1), 1, [0], [0], [(0, ("a",), 0), (0, ("b",), 0)])
+    projected = hfa._project_track(current, padded, ("a", "b"), 2)
+    assert projected.transitions == ((0, ("a",), 1),)
+    assert_equals_checked(projected)
+
+
+def test_internal_constructions_skip_the_checked_constructor(monkeypatch):
+    rng = random.Random(37)
+    pairs = all_letters("ab", 2)
+    a, b = (random_fa(rng, 4, pairs, 0.2) for _ in range(2))
+    c, d = (random_fa(rng, 4, "ab", 0.4) for _ in range(2))
+    exists, exists_forall = hfa.Nfh("ab", (E, E), a), hfa.Nfh("ab", (E, A), b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("checked constructor on an internal path")
+
+    monkeypatch.setattr(Fa, "__init__", refuse)
+    for x, y in ((a, b), (c, d)):
+        x.intersect(y), x.union(y), x.determinize(), x.complement(), x.minimize()
+    a.remap_letters(lambda l: (l[1], l[0]), pairs)
+    hfa.intersect(exists, exists_forall)
+    hfa.intersect(exists, exists_forall, (1, 0, 0, 1))
+    for nfh in (exists, exists_forall):
+        hfa.selection_closure(nfh, [(1, 2), (2, 1), (1, 1)], 2)
+    # a plain alphabet is normalized and checked
+    with pytest.raises(AssertionError, match="checked constructor"):
+        c.remap_letters(lambda l: l, ("b", "a"))
+    monkeypatch.undo()
+    remapped = c.remap_letters(lambda l: l, ("b", "a"))
+    assert remapped.alphabet == ("a", "b")
+    with pytest.raises(UnknownLetter):
+        remapped.accepts(("c",))
 
 
 @pytest.mark.parametrize("error, changed", [
