@@ -800,6 +800,10 @@ def parse_nfh(text: str) -> Nfh:
             transitions.append((q, letter, r))
         else:
             raise FormatError(f"unknown directive {parts[0]!r}")
+    bound = 2 * (len(lines) - 1)
+    if n_states > bound:
+        raise FormatError(f"state id {n_states - 1} is not below {bound}, "
+                          "twice the number of state and transition lines")
     try:
         return make_nfh(sigma, prefix, n_states, initial, accepting, transitions)
     except (AlphabetMismatch, InvalidArity) as exc:

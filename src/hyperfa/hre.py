@@ -12,6 +12,9 @@ Concrete syntax
 '#' is the pad token, '_' matches any alphabet symbol (pad excluded) and
 '!a' matches any alphabet symbol except a.  '//' starts a line comment.
 
+compile_hre builds the position automaton: state 0 plus one state per
+tuple letter, in text order, with no epsilon moves.
+
 The policy templates keep their published shape; the distinguished symbols
 (low state, dummy-rewritten low state, combined input/output events and so
 on) stay opaque and are supplied by the caller as members of its alphabet.
@@ -336,81 +339,46 @@ def _letters(tl: TupleLetter, sigma: tuple[str, ...]) -> list[Letter]:
 
 
 def compile_hre(ast: HreAst, sigma: Iterable[str]) -> Nfh:
-    """Thompson-style construction, epsilon edges eliminated afterwards."""
+    """Position automaton: state 0 starts, and state p is the p-th tuple
+    letter in text order, entered only by that tuple letter's letters."""
     sigma = tuple(sorted(set(sigma)))
-    k = ast.arity
-    counter = [0]
-    eps_edges: list[tuple[int, int]] = []
-    sym_edges: list[tuple[int, Letter, int]] = []
+    letters: list[list[Letter]] = [[]]  # letters[p] enter state p
+    follow: list[set[int]] = [set()]  # follow[q]: states entered from q
 
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    def build(node: Node) -> tuple[int, tuple[int, ...]]:
+    def build(node: Node) -> tuple[bool, set[int], set[int]]:
+        """(nullable, first, last) of node; links follow inside it."""
         if isinstance(node, Empty):
-            return fresh(), ()
+            return False, set(), set()
         if isinstance(node, Eps):
-            s = fresh()
-            return s, (s,)
+            return True, set(), set()
         if isinstance(node, TupleLetter):
-            s, e = fresh(), fresh()
-            for letter in _letters(node, sigma):
-                sym_edges.append((s, letter, e))
-            return s, (e,)
+            letters.append(_letters(node, sigma))
+            follow.append(set())
+            return False, {len(follow) - 1}, {len(follow) - 1}
         if isinstance(node, Alt):
-            s = fresh()
-            outs: list[int] = []
-            for item in node.items:
-                st, os_ = build(item)
-                eps_edges.append((s, st))
-                outs.extend(os_)
-            return s, tuple(outs)
+            nullables, firsts, lasts = zip(*(build(item) for item in node.items))
+            return any(nullables), set().union(*firsts), set().union(*lasts)
         if isinstance(node, Concat):
-            start, outs = build(node.items[0])
-            for item in node.items[1:]:
-                st, next_outs = build(item)
-                for o in outs:
-                    eps_edges.append((o, st))
-                outs = next_outs
-            return start, tuple(outs)
-        if isinstance(node, Star):
-            hub = fresh()
-            st, outs = build(node.item)
-            eps_edges.append((hub, st))
-            for o in outs:
-                eps_edges.append((o, hub))
-            return hub, (hub,)
-        st, outs = build(node.item)  # Plus: loop back, at least one pass
-        for o in outs:
-            eps_edges.append((o, st))
-        return st, outs
+            nullable, first, last = True, set(), set()
+            for item in node.items:
+                item_nullable, item_first, item_last = build(item)
+                for q in last:
+                    follow[q] |= item_first
+                if nullable:
+                    first |= item_first
+                last = last | item_last if item_nullable else item_last
+                nullable = nullable and item_nullable
+            return nullable, first, last
+        nullable, first, last = build(node.item)  # Star or Plus: loop back
+        for q in last:
+            follow[q] |= first
+        return nullable or isinstance(node, Star), first, last
 
-    start, outs = build(ast.body)
-    n = counter[0]
-    closure: list[set[int]] = [{q} for q in range(n)]
-    fwd: dict[int, set[int]] = {}
-    for a, b in eps_edges:
-        fwd.setdefault(a, set()).add(b)
-    for q in range(n):
-        stack = [q]
-        while stack:
-            cur = stack.pop()
-            for nxt in fwd.get(cur, ()):
-                if nxt not in closure[q]:
-                    closure[q].add(nxt)
-                    stack.append(nxt)
-    out_set = set(outs)
-    by_src: dict[int, list[tuple[Letter, int]]] = {}
-    for q, letter, r in sym_edges:
-        by_src.setdefault(q, []).append((letter, r))
-    transitions = []
-    for q in range(n):
-        for mid in closure[q]:
-            for letter, r in by_src.get(mid, ()):
-                transitions.append((q, letter, r))
-    accepting = [q for q in range(n) if closure[q] & out_set]
-    fa = Fa(all_letters(sigma, k), n, [start], accepting, transitions)
+    nullable, follow[0], last = build(ast.body)
+    transitions = [(q, letter, p) for q, targets in enumerate(follow)
+                   for p in targets for letter in letters[p]]
+    accepting = last | {0} if nullable else last
+    fa = Fa(all_letters(sigma, ast.arity), len(follow), [0], accepting, transitions)
     return Nfh(sigma, tuple(q for q, _ in ast.prefix), fa)
 
 

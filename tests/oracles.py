@@ -386,10 +386,6 @@ def _match(node, letters, i: int, j: int, sigma) -> bool:
             and _match(node, letters, m, j, sigma)
             for m in range(i + 1, j + 1)
         )
-    if isinstance(node, hre.Plus):
-        return any(
-            _match(node.item, letters, i, m, sigma)
-            and (m == j or _match(node, letters, m, j, sigma))
-            for m in range(i + 1, j + 1)
-        )
+    if isinstance(node, hre.Plus):  # X+ is X X*, so it matches eps when X does
+        return _match(hre.Concat((node.item, hre.Star(node.item))), letters, i, j, sigma)
     raise TypeError(node)

@@ -8,6 +8,7 @@ import pytest
 
 from hyperfa import canon, hfa, hre
 from hyperfa.cli import main as cli_main
+from hyperfa.errors import FormatError
 from hyperfa.fa import Fa
 from hyperfa.hfa import Hyperword, Quantifier, format_hyperword, format_nfh, parse_nfh
 
@@ -179,6 +180,34 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert run_cli(["compile", badhre], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("nfh k=1 sigma=a prefix=A\nstate x\n", "bad state line"),
+    ("nfh k=1 sigma=a prefix=A\nstate 0 final\n", "unknown state flag"),
+    ("nfh k=1 sigma=a prefix=A\nstate 0 init\ntrans 0 (a)\n", "bad transition line"),
+    ("nfh k=1 sigma=a prefix=A\nstate 0 init\ntrans 0 a 0\n", "bad letter"),
+    ("nfh k=1 sigma=# prefix=A\nstate 0 init accept\n", "reserved for padding"),
+])
+def test_malformed_acceptor_lines_are_format_errors(tmp_path, capsys, text, message):
+    with pytest.raises(FormatError, match=message):
+        parse_nfh(text)
+    code, out, err = run_cli(["dot", write(tmp_path / "bad.nfh", text)], capsys)
+    assert (code, out) == (2, "") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("state_line", ["state 1000000", "state 30000000 init accept"])
+def test_sparse_state_ids_are_rejected_before_any_automaton(tmp_path, capsys, monkeypatch,
+                                                            state_line):
+    def refuse(*args):
+        raise AssertionError("no acceptor is built for a sparse state id")
+
+    monkeypatch.setattr(hfa, "make_nfh", refuse)
+    path = write(tmp_path / "sparse.nfh", f"nfh k=1 sigma=a prefix=A\n{state_line}\n")
+    code, out, err = run_cli(["dot", path], capsys)
+    state_id = state_line.split()[1]
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert f"state id {state_id} is not below 2" in err
+
+
 def test_unsupported_fragment_exits_3(tmp_path, capsys):
     e1 = compile_to(tmp_path, "e1", "exists x. [a]*\n", capsys)
     ea = compile_to(
@@ -293,6 +322,15 @@ def test_canon_reports_first_violation_and_close_repairs(tmp_path, capsys):
     assert code == 0
     code, out, _ = run_cli(["canon", closed], capsys)
     assert (code, out) == (0, "COMPLETE\n")
+
+
+def test_canon_close_on_an_existential_acceptor(tmp_path, capsys):
+    path = compile_to(tmp_path, "pair", "exists x1. exists x2. [a,b][b,#]*\n", capsys)
+    closed = str(tmp_path / "closed.nfh")
+    assert run_cli(["canon", path, "--close", "-o", closed], capsys) == (0, "", "")
+    nfh = parse_nfh(open(path, encoding="utf-8").read())
+    with open(closed, "rb") as fh:
+        assert fh.read() == format_nfh(canon.permutation_closure(nfh)).encode()
 
 
 def test_canon_complete_at_arity_one(tmp_path, capsys):

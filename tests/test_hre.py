@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -115,6 +116,34 @@ def matcher_agrees(text, sigma="ab", max_len=3):
 def test_compile_agrees_with_backtracking_matcher():
     for text in ROUNDTRIP_CASES:
         matcher_agrees(text, max_len=3)
+
+
+def random_node(rng, k, depth):
+    """Random body over sigma "ab" at arity k, nested at most depth deep."""
+    roll = rng.randrange(10 if depth else 3)
+    if roll == 0:
+        return rng.choice((hre.Empty(), hre.Eps()))
+    if roll < 3:
+        comps = (hre.Sym("a"), hre.Sym("b"), hre.Pad(), hre.Any(), hre.NotSym("a"))
+        return hre.TupleLetter(tuple(rng.choice(comps) for _ in range(k)))
+    if roll < 7:
+        kind = hre.Alt if roll < 5 else hre.Concat
+        return kind(tuple(random_node(rng, k, depth - 1) for _ in range(rng.randint(2, 3))))
+    return (hre.Star if roll < 9 else hre.Plus)(random_node(rng, k, depth - 1))
+
+
+def test_compile_agrees_with_matcher_on_random_expressions():
+    rng = random.Random(7)
+    for _ in range(400):
+        k = rng.randint(1, 2)
+        body = random_node(rng, k, 4)
+        prefix = tuple((Quantifier.EXISTS, f"x{i}") for i in range(k))
+        nfh = hre.compile_hre(hre.HreAst(prefix, body), "ab")
+        assert nfh.underlying.n_states == 1 + sum(1 for _ in hre._tuple_letters(body))
+        letters = all_letters("ab", k)
+        for n in range(4):
+            for w in itertools.product(letters, repeat=n):
+                assert nfh.underlying.accepts(w) == oracles.hre_match(body, w, "ab"), (body, w)
 
 
 def test_wildcard_and_negation_never_match_pad():

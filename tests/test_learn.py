@@ -335,6 +335,27 @@ def test_learn_a1():
     assert canon.canonical_equal(got, canon.sequence_closure(target))
 
 
+def test_teacher_falls_back_past_the_map_cap(monkeypatch):
+    # 5 variables make 4**5 maps at size 4, past the teacher's cap of 256
+    text = "forall x1. forall x2. forall x3. forall x4. forall x5. ([a,a,a,a,a]|[b,b,b,b,b])*"
+    target = compile_text(text)
+    teacher = learn.AutomatedTeacher(target, learn.LearnerConfig(max_k=5))
+    fallbacks = []
+    fallback = teacher._fallback
+
+    def counted(candidate):
+        fallbacks.append(candidate)
+        return fallback(candidate)
+
+    monkeypatch.setattr(teacher, "_fallback", counted)
+    got = learn.learn(teacher, Fragment.FORALL_ONLY, learn.LearnerConfig(max_k=5))
+    assert fallbacks
+    for words in oracles.all_hyperwords("ab", 3, 3):
+        assert hfa.member(got, Hyperword.of(words)) == hfa.member(target, Hyperword.of(words))
+    # a wrong candidate gets a counterexample the target rejects
+    assert fallback(universal_nfh((A, A))) == (Hyperword.of([(), ("a",)]), False)
+
+
 def test_learn_wrong_fragment():
     teacher = learn.AutomatedTeacher(compile_text("forall x. [a]*"))
     with pytest.raises(WrongFragment):
