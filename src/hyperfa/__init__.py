@@ -3,8 +3,9 @@ expressions, canonical forms, and active learning."""
 
 import importlib
 
-# each submodule and the public names taken from it; a name's submodule is
-# imported on the name's first use, so a CLI run loads only what it calls
+# the public names, by the submodule each is taken from (__all__ is derived
+# from it); a name's submodule is imported on the name's first use, so a CLI
+# run loads only what it calls
 _EXPORTS = {
     "canon": "CompletenessReport canonical_equal check_complete permutation_closure "
              "sequence_closure",
@@ -22,6 +23,7 @@ _EXPORTS = {
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()
            for name in (module, *names.split())}
+__all__ = sorted(_SOURCE)
 
 
 def __getattr__(name: str) -> object:
@@ -42,60 +44,3 @@ def __dir__() -> list[str]:
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AutomatedTeacher",
-    "CompletenessReport",
-    "Fa",
-    "Fragment",
-    "HreAst",
-    "Hyperword",
-    "IndexSequence",
-    "LearnerConfig",
-    "Nfh",
-    "ObservationTable",
-    "PAD",
-    "PolicyId",
-    "Quantifier",
-    "ZipWord",
-    "apply_sequence",
-    "canon",
-    "canonical_equal",
-    "check_complete",
-    "cli",
-    "compile_hre",
-    "complement",
-    "concat_tracks",
-    "contains",
-    "equivalent",
-    "errors",
-    "fa",
-    "format_hre",
-    "format_hyperword",
-    "format_nfh",
-    "gen_hamiltonian",
-    "hfa",
-    "hre",
-    "intersect",
-    "is_exact_zip",
-    "is_legal",
-    "learn",
-    "learn_nfh",
-    "lift",
-    "make_nfh",
-    "member",
-    "nonempty_exists",
-    "nonempty_exists_forall",
-    "nonempty_forall",
-    "parse_hyperword",
-    "parse_nfh",
-    "permutation_closure",
-    "policy",
-    "regular_member",
-    "sequence_closure",
-    "strip_pads",
-    "union",
-    "unzip",
-    "zip_words",
-    "zipwords",
-]

@@ -10,26 +10,23 @@ Raw underlying languages still differ in two inessential ways: trailing
 all-pad letters and words that are not zip encodings at all.  The
 equality test therefore compares closures intersected with the encoding
 filter; completeness checks are likewise restricted to encodings.
+
+Track-selection images are taken of the pad-normalized underlying
+automaton.  A letterwise image re-pads to the original length; without
+pad_normalize it would be compared against unpadded encodings, and the
+closures would disagree with member on concrete instances.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionViolated, WrongFragment
 from .fa import Fa
-from .hfa import (
-    Fragment,
-    Nfh,
-    _require_cap,
-    pad_normalize,
-    selection_closure,
-    sequence_remap,
-    zip_filter_fa,
-)
-from .zipwords import IndexSequence, ZipWord
+from .hfa import Fragment, Nfh, _require_cap, pad_normalize
+from .zipwords import PAD, IndexSequence, Letter, ZipWord, all_letters
 
 DEFAULT_CLOSURE_MAX_K = 3
 
@@ -38,6 +35,48 @@ DEFAULT_CLOSURE_MAX_K = 3
 class CompletenessReport:
     complete: bool
     counterexample: Optional[tuple[ZipWord, IndexSequence]]
+
+
+def sequence_remap(fa: Fa, seq: Sequence[int], alphabet: Sequence[Letter]) -> Fa:
+    """Automaton accepting w iff fa accepts the letterwise selection of w
+    through the 1-based track sequence seq."""
+    return fa.remap_letters(lambda l: tuple(l[i - 1] for i in seq), alphabet)
+
+
+def selection_closure(nfh: Nfh, seqs: Iterable[Sequence[int]], arity: int) -> Fa:
+    """Minimal DFA over arity-tuples: the union (existential acceptor) or the
+    intersection (otherwise) of the selections of the pad-normalized
+    underlying automaton through each 1-based track sequence in seqs."""
+    alphabet = all_letters(nfh.sigma, arity)
+    base = pad_normalize(nfh.underlying, nfh.k)
+    use_union = nfh.fragment is Fragment.EXISTS_ONLY
+    result: Optional[Fa] = None
+    for seq in seqs:
+        piece = sequence_remap(base, seq, alphabet)
+        if result is not None:
+            piece = result.union(piece) if use_union else result.intersect(piece)
+        result = piece.minimize()
+    assert result is not None
+    return result
+
+
+def zip_filter_fa(sigma: Iterable[str], k: int) -> Fa:
+    """DFA of exact zip encodings: pad-monotone tracks, no all-pad letter."""
+    sigma = tuple(sorted(set(sigma)))
+    alphabet = all_letters(sigma, k)
+    subsets = [frozenset(c) for size in range(k + 1) for c in
+               itertools.combinations(range(k), size)]
+    subsets = [s for s in subsets if len(s) < k]  # all-dead never occurs
+    ids = {s: i for i, s in enumerate(subsets)}
+    trans = []
+    for s in subsets:
+        for letter in alphabet:
+            dead = frozenset(i for i, sym in enumerate(letter) if sym == PAD)
+            if len(dead) == k or not s <= dead:
+                continue
+            trans.append((ids[s], letter, ids[dead]))
+    # sorted and distinct: subsets in id order, letters in order, one target each
+    return Fa._sorted(alphabet, len(subsets), [ids[frozenset()]], range(len(subsets)), trans)
 
 
 def _all_sequences(k: int):

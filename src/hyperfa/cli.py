@@ -2,9 +2,9 @@
 
 Boolean outcomes are encoded in the exit code (0 = yes, 1 = no); exit 2
 flags parse or usage problems, 3 an unsupported quantifier fragment, 4 a
-resource cap.  ``compile``, ``canon`` and ``learn`` import their modules
-inside the command, so the decision subcommands load only errors, zipwords,
-fa and hfa.
+resource cap or input nested past the recursion limit.  ``compile``,
+``canon`` and ``learn`` import their modules inside the command, so the
+decision subcommands load only errors, zipwords, fa and hfa.
 """
 
 from __future__ import annotations
@@ -37,8 +37,14 @@ from .hfa import (
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file's text, with universal newlines as in text mode."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -262,6 +268,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except RecursionError:
+        print(f"error: input nesting exceeds the recursion limit of "
+              f"{sys.getrecursionlimit()}", file=sys.stderr)
         return 4
     except (HyperfaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,14 +6,10 @@ the quantifier prefix, ranging over S, is satisfied by zip-encoded
 assignments.  Decision procedures cover the alternation-free fragments and
 the exists*-forall* fragment.
 
-The remap-based constructions and the Boolean products in this module
-first pass the underlying automaton through pad_normalize: acceptance of
-zip-encoded words is kept exactly, while trailing all-pad letters stop
-mattering.  Without this the letterwise track-selection images (which
-re-pad to the original length) would be compared against unpadded
-encodings and the procedures would disagree with member on concrete
-instances; in union and intersect the pad tail is what lets one side idle
-once its word tuple has ended.
+The Boolean products in this module first pass the underlying automaton
+through pad_normalize: acceptance of zip-encoded words is kept exactly,
+while trailing all-pad letters stop mattering.  In union and intersect the
+pad tail is what lets one side idle once its word tuple has ended.
 """
 
 from __future__ import annotations
@@ -197,48 +193,6 @@ def pad_accept(fa: Fa, arity: int) -> Fa:
     """Accept w whenever some w . pads^j is accepted (no new states)."""
     return Fa._sorted(fa.alphabet, fa.n_states, fa.initial, _coreachable(fa, (PAD,) * arity),
                       fa.transitions)
-
-
-def sequence_remap(fa: Fa, seq: Sequence[int], alphabet: Sequence[Letter]) -> Fa:
-    """Automaton accepting w iff fa accepts the letterwise selection of w
-    through the 1-based track sequence seq."""
-    return fa.remap_letters(lambda l: tuple(l[i - 1] for i in seq), alphabet)
-
-
-def selection_closure(nfh: Nfh, seqs: Iterable[Sequence[int]], arity: int) -> Fa:
-    """Minimal DFA over arity-tuples: the union (existential acceptor) or the
-    intersection (otherwise) of the selections of the pad-normalized
-    underlying automaton through each 1-based track sequence in seqs."""
-    alphabet = all_letters(nfh.sigma, arity)
-    base = pad_normalize(nfh.underlying, nfh.k)
-    use_union = nfh.fragment is Fragment.EXISTS_ONLY
-    result: Optional[Fa] = None
-    for seq in seqs:
-        piece = sequence_remap(base, seq, alphabet)
-        if result is not None:
-            piece = result.union(piece) if use_union else result.intersect(piece)
-        result = piece.minimize()
-    assert result is not None
-    return result
-
-
-def zip_filter_fa(sigma: Iterable[str], k: int) -> Fa:
-    """DFA of exact zip encodings: pad-monotone tracks, no all-pad letter."""
-    sigma = tuple(sorted(set(sigma)))
-    alphabet = all_letters(sigma, k)
-    subsets = [frozenset(c) for size in range(k + 1) for c in
-               itertools.combinations(range(k), size)]
-    subsets = [s for s in subsets if len(s) < k]  # all-dead never occurs
-    ids = {s: i for i, s in enumerate(subsets)}
-    trans = []
-    for s in subsets:
-        for letter in alphabet:
-            dead = frozenset(i for i, sym in enumerate(letter) if sym == PAD)
-            if len(dead) == k or not s <= dead:
-                continue
-            trans.append((ids[s], letter, ids[dead]))
-    # sorted and distinct: subsets in id order, letters in order, one target each
-    return Fa._sorted(alphabet, len(subsets), [ids[frozenset()]], range(len(subsets)), trans)
 
 
 # ---------------------------------------------------------------- semantics
@@ -726,10 +680,7 @@ def gen_hamiltonian(n: int, edges: Iterable[tuple[int, int]]) -> tuple[Nfh, Hype
         trans.add((u - 1, mark(u), v - 1))
         trans.add((v - 1, mark(v), u - 1))
     nfh = make_nfh(sigma, (Quantifier.EXISTS,) * n, n, [0], [0], trans)
-    words = [
-        tuple("1" if j == i else "0" for j in range(1, n + 1)) for i in range(1, n + 1)
-    ]
-    return nfh, Hyperword.of(words)
+    return nfh, Hyperword.of(mark(i) for i in range(1, n + 1))
 
 
 # ------------------------------------------------------------- wire formats

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
-from .canon import check_complete
+from .canon import check_complete, selection_closure
 from .errors import (
     AlphabetMismatch,
     BudgetExceeded,
@@ -40,7 +40,6 @@ from .hfa import (
     Quantifier,
     equivalent as hfa_equivalent,
     member as hfa_member,
-    selection_closure,
     zip_step,
 )
 from .zipwords import (
@@ -229,7 +228,7 @@ def learn(
         close_and_consist(table)
         candidate = build_candidate(table, fragment)
         emit("candidate", {"states": candidate.underlying.n_states})
-        report = check_complete(candidate, max_k=max(4, config.max_k))
+        report = check_complete(candidate, max_k=config.max_k)
         if not report.complete:
             word, seq = report.counterexample
             image = strip_pads(apply_sequence(word, seq))

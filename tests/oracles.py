@@ -3,7 +3,7 @@
 Everything here is deliberately naive: transition-list scans instead of the
 package's step tables, exhaustive assignment enumeration instead of
 short-circuit recursion, permutation search for Hamiltonian cycles, and a
-backtracking matcher for expression ASTs. Nothing is shared with the package
+span-table matcher for expression ASTs. Nothing is shared with the package
 beyond its public data types, so a bug would have to be made twice to hide.
 """
 
@@ -335,10 +335,49 @@ def random_connected_graph(
     return sorted(edges)
 
 
-# ------------------------------------------------- backtracking HRE matcher
+# ----------------------------------------------------- span-table HRE matcher
 
 def hre_match(node, letters: Sequence[Letter], sigma: Sequence[str]) -> bool:
-    return _match(node, tuple(letters), 0, len(letters), tuple(sigma))
+    """Whether node matches the whole word.  Each subexpression's table, the
+    set of spans (i, j) of the word that it matches, is computed once from
+    the tables of its children, so the matcher is polynomial in the word
+    length."""
+    letters, sigma = tuple(letters), tuple(sigma)
+    eps = {(i, i) for i in range(len(letters) + 1)}
+
+    def spans(node) -> set[tuple[int, int]]:
+        if isinstance(node, hre.Empty):
+            return set()
+        if isinstance(node, hre.Eps):
+            return eps
+        if isinstance(node, hre.TupleLetter):
+            return {(i, i + 1) for i, letter in enumerate(letters)
+                    if len(letter) == len(node.comps)
+                    and all(_component_ok(c, s, sigma) for c, s in zip(node.comps, letter))}
+        if isinstance(node, hre.Alt):
+            return set().union(*map(spans, node.items))
+        if isinstance(node, hre.Concat):
+            table = eps
+            for item in node.items:
+                table = _compose(table, spans(item))
+            return table
+        if isinstance(node, (hre.Star, hre.Plus)):
+            # X* is eps | X | XX | ..., and X+ is X X*, so it matches eps when X does
+            item = spans(node.item)
+            table = eps if isinstance(node, hre.Star) else item
+            while True:
+                grown = table | _compose(table, item)
+                if grown == table:
+                    return table
+                table = grown
+        raise TypeError(node)
+
+    return (0, len(letters)) in spans(node)
+
+
+def _compose(first: set, second: set) -> set:
+    """Spans (i, j) split at some m into (i, m) from first and (m, j) from second."""
+    return {(i, j) for i, m in first for m2, j in second if m == m2}
 
 
 def _component_ok(comp, sym: str, sigma: tuple[str, ...]) -> bool:
@@ -351,41 +390,3 @@ def _component_ok(comp, sym: str, sigma: tuple[str, ...]) -> bool:
     if isinstance(comp, hre.NotSym):
         return sym in sigma and sym != comp.name
     raise TypeError(comp)
-
-
-def _match(node, letters, i: int, j: int, sigma) -> bool:
-    if isinstance(node, hre.Empty):
-        return False
-    if isinstance(node, hre.Eps):
-        return i == j
-    if isinstance(node, hre.TupleLetter):
-        if j != i + 1:
-            return False
-        letter = letters[i]
-        return len(letter) == len(node.comps) and all(
-            _component_ok(c, s, sigma) for c, s in zip(node.comps, letter)
-        )
-    if isinstance(node, hre.Alt):
-        return any(_match(b, letters, i, j, sigma) for b in node.items)
-    if isinstance(node, hre.Concat):
-        parts = node.items
-        if not parts:
-            return i == j
-        if len(parts) == 1:
-            return _match(parts[0], letters, i, j, sigma)
-        head, rest = parts[0], hre.Concat(parts[1:])
-        return any(
-            _match(head, letters, i, m, sigma) and _match(rest, letters, m, j, sigma)
-            for m in range(i, j + 1)
-        )
-    if isinstance(node, hre.Star):
-        if i == j:
-            return True
-        return any(
-            _match(node.item, letters, i, m, sigma)
-            and _match(node, letters, m, j, sigma)
-            for m in range(i + 1, j + 1)
-        )
-    if isinstance(node, hre.Plus):  # X+ is X X*, so it matches eps when X does
-        return _match(hre.Concat((node.item, hre.Star(node.item))), letters, i, j, sigma)
-    raise TypeError(node)

@@ -208,6 +208,47 @@ def test_sparse_state_ids_are_rejected_before_any_automaton(tmp_path, capsys, mo
     assert f"state id {state_id} is not below 2" in err
 
 
+@pytest.mark.parametrize("command, name, data, offset", [
+    ("dot", "bad.nfh", b"nfh k=1 sigma=a prefix=A\nstate 0 init accept\xff\n", 44),
+    ("member", "bad.hw", b"a\n\xfe\n", 2),
+    ("compile", "bad.hre", b"forall x. [\xc3(]\n", 11),
+], ids=["nfh", "hw", "hre"])
+def test_files_that_are_not_utf8_exit_2(tmp_path, capsys, command, name, data, offset):
+    path = tmp_path / name
+    path.write_bytes(data)
+    args = [command, str(path)]
+    if command == "member":
+        args.insert(1, write(tmp_path / "ok.nfh", "nfh k=1 sigma=a prefix=A\nstate 0 init\n"))
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert f"{path}: invalid UTF-8 at byte offset {offset}" in err
+
+
+def test_crlf_files_read_like_lf_files(tmp_path, capsys):
+    nfh = "nfh k=1 sigma=a,b prefix=A\nstate 0 init accept\ntrans 0 (a) 0\n"
+    results = []
+    for newline in ("\n", "\r\n", "\r"):
+        path = tmp_path / "crlf.nfh"
+        path.write_bytes(nfh.replace("\n", newline).encode())
+        hw = tmp_path / "crlf.hw"
+        hw.write_bytes(f"a{newline}aa{newline}".encode())
+        results.append(run_cli(["member", str(path), str(hw)], capsys))
+    assert results == [(0, "true\n", "")] * 3
+
+
+@pytest.mark.parametrize("command, files", [
+    ("compile", {"deep.hre": "forall x. " + "(" * 3000 + "[a]" + ")" * 3000 + "\n"}),
+    ("compile", {"deep.hre": "forall x. [a]" + "*" * 5000 + "\n"}),
+    ("member", {"deep.nfh": "nfh k=1500 sigma=a prefix=" + "AE" * 750 + "\nstate 0 init accept\n",
+                "a.hw": "a\n"}),
+], ids=["parentheses", "stars", "alternations"])
+def test_inputs_nested_past_the_recursion_limit_exit_4(tmp_path, capsys, command, files):
+    paths = [write(tmp_path / name, text) for name, text in files.items()]
+    code, out, err = run_cli([command, *paths], capsys)
+    assert (code, out) == (4, "") and "Traceback" not in err
+    assert f"input nesting exceeds the recursion limit of {sys.getrecursionlimit()}" in err
+
+
 def test_unsupported_fragment_exits_3(tmp_path, capsys):
     e1 = compile_to(tmp_path, "e1", "exists x. [a]*\n", capsys)
     ea = compile_to(

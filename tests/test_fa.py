@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from hyperfa import hfa
+from hyperfa import canon, hfa
 from hyperfa.errors import AlphabetMismatch, InvalidArity, UnknownLetter
 from hyperfa.fa import Fa
 from hyperfa.zipwords import all_letters
@@ -372,7 +372,7 @@ def test_unchecked_results_equal_checked_construction():
             assert_equals_checked(out)
     assert several_targets >= 100
     for sigma, k in itertools.product(("a", "ab", "abc"), (1, 2, 3)):
-        assert_equals_checked(hfa.zip_filter_fa(sigma, k))
+        assert_equals_checked(canon.zip_filter_fa(sigma, k))
 
 
 def test_hfa_products_equal_checked_construction():
@@ -411,7 +411,7 @@ def test_internal_constructions_skip_the_checked_constructor(monkeypatch):
     hfa.intersect(exists, exists_forall)
     hfa.intersect(exists, exists_forall, (1, 0, 0, 1))
     for nfh in (exists, exists_forall):
-        hfa.selection_closure(nfh, [(1, 2), (2, 1), (1, 1)], 2)
+        canon.selection_closure(nfh, [(1, 2), (2, 1), (1, 1)], 2)
     # a plain alphabet is normalized and checked
     with pytest.raises(AssertionError, match="checked constructor"):
         c.remap_letters(lambda l: l, ("b", "a"))
