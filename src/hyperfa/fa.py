@@ -18,7 +18,6 @@ from .errors import AlphabetMismatch, InvalidArity, UnknownLetter
 from .zipwords import TupleAlphabet
 
 LetterT = Hashable
-StepFilter = Callable[[Optional[LetterT], LetterT], bool]
 
 
 class Fa:
@@ -109,9 +108,9 @@ class Fa:
             states = self.step(states, letter)
         return bool(states & self.accepting)
 
-    def shortest_accepted(self, step_ok: StepFilter | None = None) -> Optional[tuple]:
-        """Shortest (filtered, see contains) accepted word, or None if none."""
-        return Fa._sorted(self.alphabet, 0, (), (), ()).contains(self, step_ok)
+    def shortest_accepted(self) -> Optional[tuple]:
+        """Shortest accepted word, or None if none."""
+        return Fa._sorted(self.alphabet, 0, (), (), ()).contains(self)
 
     def is_empty(self) -> bool:
         return self.shortest_accepted() is None
@@ -210,12 +209,10 @@ class Fa:
             trans,
         )
 
-    def contains(self, other: "Fa", step_ok: StepFilter | None = None) -> Optional[tuple]:
+    def contains(self, other: "Fa") -> Optional[tuple]:
         """None iff L(other) <= L(self); otherwise a shortest counterexample.
-        With a filter, only words whose consecutive letter pairs satisfy
-        step_ok(previous_or_None, next) are searched.
 
-        BFS over (state of other, subset of self, last letter if filtered):
+        BFS over (state of other, subset of self):
         subsets are stepped along other's edges, never determinized.  Edges
         go in letter order, so ties go to the least word if other is a DFA.
         """
@@ -223,21 +220,19 @@ class Fa:
         step, accepting, start = self._step, self.accepting, self.initial
         if other.initial & other.accepting and not start & accepting:
             return ()
-        parent: dict[tuple, tuple] = {(p, start, None): () for p in sorted(other.initial)}
+        parent: dict[tuple, tuple] = {(p, start): () for p in sorted(other.initial)}
         queue = deque(parent)
         while queue:
-            p, subset, last = node = queue.popleft()
+            p, subset = node = queue.popleft()
             base = parent[node]
             prev = None
             for _p, letter, r in other._edges(p):
-                if step_ok is not None and not step_ok(last, letter):
-                    continue
                 if letter != prev:  # edges are sorted by letter
                     prev = letter
                     # the empty subset (always, in shortest_accepted) steps to itself
                     nxt = subset and frozenset(
                         [t for q in subset for t in step.get((q, letter), ())])
-                node = (r, nxt, letter if step_ok is not None else None)
+                node = (r, nxt)
                 if node in parent:
                     continue
                 parent[node] = base + (letter,)

@@ -18,7 +18,7 @@ import enum
 import itertools
 import math
 import re
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -147,16 +147,6 @@ def _require_cap(k: int, max_k: int) -> None:
 
 
 # ------------------------------------------------------------- pad handling
-
-
-def zip_step(prev: Optional[Letter], nxt: Letter) -> bool:
-    """Step filter for exact zip encodings: a dead track stays dead and the
-    all-pad letter never occurs."""
-    if all(s == PAD for s in nxt):
-        return False
-    if prev is None:
-        return True
-    return all(p != PAD or n == PAD for p, n in zip(prev, nxt))
 
 
 def pad_normalize(fa: Fa, arity: int) -> Fa:
@@ -471,13 +461,10 @@ def intersect(
 
 
 def nonempty_exists(nfh: Nfh) -> Optional[Hyperword]:
-    """Witness hyperword for a purely existential acceptor, or None."""
+    """Least witness for a purely existential acceptor (see nonempty_exists_forall), or None."""
     if nfh.fragment is not Fragment.EXISTS_ONLY:
         raise WrongFragment("nonempty_exists needs a purely existential prefix")
-    found = nfh.underlying.shortest_accepted(zip_step)
-    if found is None:
-        return None
-    return Hyperword.of(unzip(ZipWord(nfh.k, found)))
+    return _selection_search(nfh)
 
 
 def nonempty_forall(nfh: Nfh) -> Optional[Hyperword]:
@@ -489,16 +476,12 @@ def nonempty_forall(nfh: Nfh) -> Optional[Hyperword]:
 
 
 def nonempty_exists_forall(nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> Optional[Hyperword]:
-    """Witness for an exists^m forall^(k-m) acceptor, or None.  Beyond E+,
-    it is the shortest, first in letter order among the shortest."""
-    frag = nfh.fragment
-    if frag is Fragment.EXISTS_ONLY:
-        return nonempty_exists(nfh)
-    if frag is Fragment.FORALL_ONLY:
-        return nonempty_forall(nfh)
-    if frag is not Fragment.EXISTS_FORALL:
+    """Witness for an exists^m forall^(k-m) acceptor, or None: the shortest
+    words x, first in letter order among the shortest.  Only E+A+ is capped."""
+    if nfh.fragment is Fragment.OTHER:
         raise WrongFragment("prefix is not of the exists*-forall* shape")
-    _require_cap(nfh.k, max_k)
+    if nfh.fragment is Fragment.EXISTS_FORALL:
+        _require_cap(nfh.k, max_k)
     return _selection_search(nfh)
 
 
@@ -509,53 +492,72 @@ def _selection_search(a1: Nfh, a2: Optional[Nfh] = None) -> Optional[Hyperword]:
 
     x is a1's existential words then a2's universal words, or one word when
     there are none.  Each run reads one choice of a word of x for each other
-    track, as a subset of states that an all-pad letter leaves as it is.  A
-    breadth-first search over zip letters of x, in letter order, has nodes
-    (the subsets, the ended tracks of x as a bitmask) and drops a node with
-    an empty subset of a1.  It is deterministic over x, so the first node
-    where every subset of a1 and none of a2 accepts spells the least x.
+    track, and an all-pad letter leaves it as it is.  A run of a1 needs one
+    accepting path, so it holds one state; a run of a2 holds a subset.  A
+    node is (the ended tracks of x as a bitmask, the runs of a2, the runs of
+    a1).  The nodes first reached by one word share its ended tracks and
+    runs of a2; they are expanded together, letter by letter in letter
+    order, so the first node where every run of a1 and none of a2 accepts
+    spells the least x.  The letters of x follow the edges of a1's first
+    run, with every symbol on the tracks of x that it does not read.
     """
     m1 = a1.prefix.count(Quantifier.EXISTS)
     m = m1 + (a2.prefix.count(Quantifier.FORALL) if a2 is not None else 0)
-    width = max(m, 1)
-    # each operand with the words of x its fixed tracks read and its side
-    operands = [(a1, range(m1), True)] + ([(a2, range(m1, m), False)] if a2 is not None else [])
-    size = len(all_letters(a1.sigma, width)) * sum(width ** (o.k - len(f)) for o, f, _ in operands)
+    width, head = max(m, 1), max(m1, 1)  # a1's first run reads x's head tracks
+    # each operand with the words of x its fixed tracks read
+    operands = [(a1, range(m1))] + ([(a2, range(m1, m))] if a2 is not None else [])
+    n_runs = [width ** (o.k - len(fixed)) for o, fixed in operands]
+    size = (len(a1.sigma) + 1) ** (width - head) * sum(n_runs)
     if size > MAX_LETTERS:
         raise ResourceLimit(
             f"selection alphabet of {size} letters exceeds the cap of {MAX_LETTERS}")
-    runs = [(o.underlying, (*fixed, *tail), left) for o, fixed, left in operands
+    sels = [(*fixed, *tail) for o, fixed in operands  # each run's tracks of x
             for tail in itertools.product(range(width), repeat=o.k - len(fixed))]
-    moves: dict[int, list] = {}  # ended tracks -> the letters that keep them ended
-    parent: dict[tuple, tuple] = {(tuple(frozenset(fa.initial) for fa, _, _ in runs), 0): ()}
-    queue = deque(parent)
+    fa1, fa2, n1 = a1.underlying, (a2 or a1).underlying, n_runs[0]  # no a2, no runs of a2
+    fills = list(itertools.product((PAD, *a1.sigma), repeat=width - head))
+    moves: dict[int, list] = {}  # a state of a1's first run -> letters_from(it)
+
+    def letters_from(q: int) -> list[tuple[Letter, int, int, list[Optional[Letter]]]]:
+        """(x, the first run's next state, x's pad tracks as a bitmask, each
+        other run's letter or None if all-pad) for each letter x from q."""
+        found = [(l[:head] + f, r) for l, r in fa1._out.get(q, ()) if l.count(PAD) < a1.k
+                 and l[head:] == (l[0],) * (a1.k - head) for f in fills]
+        found += [((PAD,) * head + f, q) for f in fills[1:]]  # idles; fills[0] is all-pad
+        return [(x, r, sum(1 << i for i, s in enumerate(x) if s == PAD), [
+            None if all(x[i] == PAD for i in sel) else tuple([x[i] for i in sel])
+            for sel in sels[1:]]) for x, r in found]
+
+    def accepted(rights: tuple[frozenset[int], ...], lefts: set[tuple[int, ...]]) -> bool:
+        return fa2.accepting.isdisjoint(itertools.chain(*rights)) and any(
+            map(fa1.accepting.issuperset, lefts))
+
+    rights = (fa2.initial,) * (len(sels) - n1)
+    lefts = set(itertools.product(sorted(fa1.initial), repeat=n1))
+    if accepted(rights, lefts):
+        return Hyperword.of([()])
+    seen: defaultdict[tuple, set] = defaultdict(set, {(0, rights): lefts})
+    queue = deque([((), 0, rights, lefts)])
     while queue:
-        subsets, ended = node = queue.popleft()
-        word = parent[node]
-        if all((not fa.accepting.isdisjoint(s)) is left
-               for (fa, _, left), s in zip(runs, subsets)):
-            return Hyperword.of(unzip(ZipWord(width, word)))
-        if ended not in moves:
-            if not moves:  # past the root: each letter of x, its ended tracks as
-                # a bitmask, each run's letter (None if all-pad)
-                letters = [(x, sum(1 << i for i, s in enumerate(x) if s == PAD),
-                            [None if all(x[i] == PAD for i in sel) else tuple(x[i] for i in sel)
-                             for _, sel, _ in runs])
-                           for x in all_letters(a1.sigma, width) if any(s != PAD for s in x)]
-            moves[ended] = [l for l in letters if l[1] & ended == ended]
-        for x, now_ended, run_letters in moves[ended]:
-            nxt = []
-            for (fa, _, left), subset, letter in zip(runs, subsets, run_letters):
-                if letter is not None:
-                    subset = frozenset([r for q in subset for r in fa._step.get((q, letter), ())])
-                    if left and not subset:
-                        break
-                nxt.append(subset)
-            else:
-                node = (tuple(nxt), now_ended)
-                if node not in parent:
-                    parent[node] = word + (x,)
-                    queue.append(node)
+        word, ended, rights, lefts = queue.popleft()
+        succ: dict[Letter, tuple[int, list, set]] = {}  # x -> its info and nodes
+        for states in lefts:
+            if states[0] not in moves:
+                moves[states[0]] = letters_from(states[0])
+            for x, r, now_ended, letters in moves[states[0]]:
+                if now_ended & ended == ended:
+                    succ.setdefault(x, (now_ended, letters, set()))[2].update(itertools.product(
+                        (r,), *[(s,) if l is None else fa1._step.get((s, l), ())
+                                for s, l in zip(states[1:], letters)]))
+        for x in sorted(succ):
+            now_ended, letters, nodes = succ[x]
+            nxt = tuple([s if l is None else fa2.step(s, l)
+                         for s, l in zip(rights, letters[n1 - 1:])])
+            new = nodes - seen[now_ended, nxt]
+            if new:
+                if accepted(nxt, new):
+                    return Hyperword.of(unzip(ZipWord(width, word + (x,))))
+                seen[now_ended, nxt] |= new
+                queue.append((word + (x,), now_ended, nxt, new))
     return None
 
 
@@ -665,6 +667,8 @@ def gen_hamiltonian(n: int, edges: Iterable[tuple[int, int]]) -> tuple[Nfh, Hype
     """
     if n < 2:
         raise InvalidGraph("need at least two vertices")
+    if n * n > MAX_LETTERS:
+        raise ResourceLimit(f"n^2 = {n * n} indicator symbols exceed the cap of {MAX_LETTERS}")
     edge_list = []
     for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n):

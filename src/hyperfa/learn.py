@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
-from .canon import check_complete, selection_closure
+from .canon import check_complete, selection_closure, zip_filter_fa
 from .errors import (
     AlphabetMismatch,
     BudgetExceeded,
@@ -40,7 +40,6 @@ from .hfa import (
     Quantifier,
     equivalent as hfa_equivalent,
     member as hfa_member,
-    zip_step,
 )
 from .zipwords import (
     Letter,
@@ -339,8 +338,10 @@ class AutomatedTeacher:
                 rc = self._restriction(candidate, size)
             except ResourceLimit:
                 return self._fallback(candidate)
+            encodings = zip_filter_fa(self.sigma, size)
             found = [(len(w), w, positive) for w, positive in (
-                (rt.contains(rc, zip_step), False), (rc.contains(rt, zip_step), True)
+                (rt.contains(rc.intersect(encodings)), False),
+                (rc.contains(rt.intersect(encodings)), True),
             ) if w is not None]
             if found:
                 length, word, positive = min(found)

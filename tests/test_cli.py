@@ -3,6 +3,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -315,6 +316,22 @@ def test_wide_header_empty_and_dot_exit_cleanly(tmp_path, capsys):
         assert code == 0 and out.startswith("digraph") and not err
 
 
+def test_empty_and_contains_hold_one_state_per_left_run(tmp_path, capsys):
+    # "the 18th letter from the end is a", universal and accepting nothing:
+    # stepped as subsets of states, the left run would meet 2^18 of them
+    n = 18
+    trans = [(0, ("a",), 0), (0, ("b",), 0), (0, ("a",), 1)]
+    trans += [(i, (s,), i + 1) for i in range(1, n) for s in "ab"]
+    nfh = hfa.make_nfh("ab", [A], n + 1, [0], [], trans)
+    family = write(tmp_path / "nth.nfh", format_nfh(nfh))
+    nothing = write(tmp_path / "nothing.nfh", "nfh k=1 sigma=a,b prefix=A\nstate 0 init\n")
+    for args, want in ((["empty", family], (1, "EMPTY\n", "")),
+                       (["contains", family, nothing], (0, "CONTAINED\n", ""))):
+        start = time.perf_counter()
+        assert run_cli(args, capsys) == want
+        assert time.perf_counter() - start < 1
+
+
 # ----------------------------------------------------------------- gen-ham
 
 def test_gen_ham_triangle_accepts_and_path_rejects(tmp_path, capsys):
@@ -339,6 +356,18 @@ def test_gen_ham_bad_edge_files(tmp_path, capsys):
     assert run_cli(
         ["gen-ham", write(tmp_path / "b.edges", "0 1\n")], capsys
     )[0] == 2
+
+
+def test_gen_ham_caps_the_instance_size_before_building(tmp_path, capsys):
+    # a 9-byte file names vertex 2000: 2000 indicator words of 2000 symbols
+    start = time.perf_counter()
+    code, out, err = run_cli(["gen-ham", write(tmp_path / "far.edges", "1 2\n2 2000\n")], capsys)
+    assert (code, out) == (4, "") and "Traceback" not in err
+    assert "n^2 = 4000000 indicator symbols exceed the cap of 500000" in err
+    assert time.perf_counter() - start < 0.5
+    # 707^2 = 499849 symbols is within the cap
+    near = write(tmp_path / "near.edges", "1 2\n2 707\n")
+    assert run_cli(["gen-ham", near, "-o", str(tmp_path / "near.nfh")], capsys) == (0, "", "")
 
 
 # --------------------------------------------------------------------- dot

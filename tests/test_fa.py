@@ -7,7 +7,7 @@ import pytest
 from hyperfa import canon, hfa
 from hyperfa.errors import AlphabetMismatch, InvalidArity, UnknownLetter
 from hyperfa.fa import Fa
-from hyperfa.zipwords import all_letters
+from hyperfa.zipwords import PAD, all_letters
 
 import oracles
 
@@ -56,23 +56,6 @@ def test_shortest_accepted_minimal_and_canonical():
     # two accepted words of length 1; tie broken by letter order
     a = Fa("ab", 2, {0}, {1}, [(0, "b", 1), (0, "a", 1), (1, "a", 1)])
     assert a.shortest_accepted() == ("a",)
-
-
-def test_filtered_search_trivial_filter():
-    a = fa_astar_b()
-    assert a.shortest_accepted(lambda prev, nxt: True) == ("b",)
-
-
-def test_filtered_search_blocks_everything():
-    a = fa_astar_b()
-    assert a.shortest_accepted(lambda prev, nxt: False) is None
-
-
-def test_filtered_search_step_constraint():
-    # only non-decreasing letters allowed: ba-words are filtered out
-    a = Fa("ab", 2, {0}, {1}, [(0, "b", 0), (0, "a", 1)])
-    ok = lambda prev, nxt: prev is None or prev <= nxt
-    assert a.shortest_accepted(ok) == ("a",)
 
 
 def test_complement_empty_language():
@@ -190,14 +173,25 @@ def test_contains_and_shortest_accepted_never_build_subset_automata(monkeypatch)
     assert b.contains(a) == ("b",) and a.contains(b) == ("a",)
     assert a.contains(a) is None
     assert a.shortest_accepted() == ("b",)
-    assert a.shortest_accepted(lambda prev, nxt: nxt == "a") is None
 
 
 def test_contains_matches_brute_force_on_random_pairs():
-    # filters: no letter twice in a row over plain letters, exact zip
-    # encodings over the k=2 tuple alphabet
+    # filters, as automata intersected with the right operand: no letter
+    # twice in a row over plain letters, exact zip encodings over the k=2
+    # tuple alphabet; the oracle checks them as predicates on letter pairs
     def no_repeat(prev, nxt):
         return prev != nxt
+
+    def exact_zip(prev, nxt):
+        # a dead track stays dead and the all-pad letter never occurs
+        return nxt.count(PAD) < len(nxt) and (
+            prev is None or all(p != PAD or n == PAD for p, n in zip(prev, nxt)))
+
+    def no_repeat_fa(letters):
+        # state 0 starts, state i + 1 has just read letter i
+        return Fa(letters, len(letters) + 1, [0], range(len(letters) + 1),
+                  [(s, l, i + 1) for s in range(len(letters) + 1)
+                   for i, l in enumerate(letters) if s != i + 1])
 
     def admitted(word, step_ok):
         return step_ok is None or all(step_ok(p, n) for p, n in zip((None,) + word, word))
@@ -208,12 +202,16 @@ def test_contains_matches_brute_force_on_random_pairs():
     for i in range(300):
         tuples = i % 4 >= 2
         letters = pairs if tuples else "abc"[: rng.randint(1, 3)]
-        step_ok = (None, hfa.zip_step if tuples else no_repeat)[i % 2]
+        step_ok = (None, exact_zip if tuples else no_repeat)[i % 2]
         density = (0.1, 0.25) if tuples else (0.1, 0.25, 0.5)
         a, b = (random_fa(rng, rng.randint(1, 5), letters, rng.choice(density))
                 for _ in range(2))
+        filtered = b
+        if step_ok is not None:
+            only = canon.zip_filter_fa("ab", 2) if tuples else no_repeat_fa(letters)
+            filtered = b.intersect(only)
         want = oracles.first_difference(a, b, 5, step_ok)
-        got = a.contains(b, step_ok)
+        got = a.contains(filtered)
         if got is None:
             assert want is None
             misses += 1
@@ -225,7 +223,7 @@ def test_contains_matches_brute_force_on_random_pairs():
         # several states and each run is searched in its own letter order
         assert len(got) == len(want) if len(got) <= 5 else want is None
         nothing = Fa(a.alphabet, 1, [0], [], [])
-        shortest = b.shortest_accepted(step_ok)
+        shortest = filtered.shortest_accepted()
         assert oracles.sim_accepts(b, shortest) and admitted(shortest, step_ok)
         assert len(shortest) == len(oracles.first_difference(nothing, b, len(got), step_ok))
     assert hits > 50 and misses > 50

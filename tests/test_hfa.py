@@ -661,12 +661,15 @@ def test_witnesses_are_the_least_selection_witness():
         left = rng.choice(("E", "A", "EA", "EE", "AA"))
         right = rng.choice([r for r in ("A", "E", "AE", "AA", "EE") if len(left + r) <= 3])
         cases.append((draw(left), draw(right)))
+    cases += [(draw(rng.choice(("E", "EE", "EEE"))), None) for _ in range(60)]
     verdicts = set()
     for a1, a2 in cases:
         if a2 is not None:
             got = hfa.contains(a1, a2)
         elif a1.fragment is Fragment.FORALL_ONLY:
             got = hfa.nonempty_forall(a1)
+        elif a1.fragment is Fragment.EXISTS_ONLY:
+            got = hfa.nonempty_exists(a1)
         else:
             got = hfa.nonempty_exists_forall(a1)
         want = oracles.least_selection_witness(a1, a2, 3)
@@ -820,10 +823,10 @@ def test_wide_header_is_cheap(text, member_wants, nonempty_wants):
 
 
 def test_exists_forall_selection_letters_are_capped_before_listing():
-    # E^7 A^7 above the arity cap: 3^7 letters of x times 7^7 selections each
+    # E^7 A^7 above the arity cap: 7^7 runs, each reading every track of x
     nfh = hfa.parse_nfh(k14_header("E" * 7 + "A" * 7, "state 0 init\n"))
     start = time.perf_counter()
-    with pytest.raises(ResourceLimit, match="selection alphabet of 1801088541 letters"):
+    with pytest.raises(ResourceLimit, match="selection alphabet of 823543 letters"):
         hfa.nonempty_exists_forall(nfh, max_k=14)
     assert time.perf_counter() - start < 0.05
 
