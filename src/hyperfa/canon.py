@@ -105,7 +105,20 @@ def check_complete(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K + 1) -> Complete
 
     Universal case: some accepted w whose selection through seq is rejected.
     Existential case: some rejected w with an accepted reordering.  The
-    violating side is always the returned word w itself.
+    violating side is always the returned word w itself, and seq is the
+    first violating sequence in lexicographic order.
+
+    Only generators are checked unless one fails: a transposition and a
+    k-cycle generate the reorderings, and with a map of rank k - 1 all
+    selections (Ganyushkin and Mazorchuk 2009).  That suffices as passing
+    sequences compose.  Let A be the accepted exact encodings and B the
+    pad-normalized language, which agrees with A on exact encodings and
+    ignores trailing all-pad letters.  Take w in A whose selection v through
+    s is in B.  v's tracks are pad-monotone, so v less its trailing all-pad
+    letters is in A, and if t passes its selection through t, which is w's
+    selection through the composite up to all-pad letters, is in B.  A
+    reordering of an exact encoding is exact, so the existential case runs
+    the same argument from B back to A.
     """
     frag = nfh.fragment
     if frag not in (Fragment.FORALL_ONLY, Fragment.EXISTS_ONLY):
@@ -119,15 +132,26 @@ def check_complete(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K + 1) -> Complete
     universal = frag is Fragment.FORALL_ONLY
     if universal:
         accepted = nfh.underlying.intersect(encodings)
-    for seq in _all_sequences(k) if universal else itertools.permutations(identity):
-        if seq == identity:
-            continue
+
+    def violation(seq: tuple[int, ...]) -> Optional[tuple]:
         piece = sequence_remap(base, seq, alphabet)
-        witness = (piece.contains(accepted) if universal
-                   else nfh.underlying.contains(piece.intersect(encodings)))
+        return (piece.contains(accepted) if universal
+                else nfh.underlying.contains(piece.intersect(encodings)))
+
+    rest = identity[2:]
+    gens = {(2, 1) + rest, identity[1:] + (1,)} | ({(1, 1) + rest} if universal else set())
+    for seq in sorted(gens - {identity}) if k > 1 else ():
+        witness = violation(seq)
         if witness is not None:
-            return CompletenessReport(False, (ZipWord(k, witness), IndexSequence(seq)))
-    return CompletenessReport(True, None)
+            break
+    else:
+        return CompletenessReport(True, None)
+    # seq violates, so the first violation is seq or a sequence before it
+    for earlier in _all_sequences(k) if universal else itertools.permutations(identity):
+        if identity != earlier < seq and (found := violation(earlier)) is not None:
+            seq, witness = earlier, found
+            break
+    return CompletenessReport(False, (ZipWord(k, witness), IndexSequence(seq)))
 
 
 def _canonical_fa(nfh: Nfh) -> Fa:

@@ -177,14 +177,15 @@ def cmd_canon(args: argparse.Namespace) -> int:
     from . import canon
 
     nfh = _load_nfh(args.nfh)
+    cap = {} if args.max_k is None else {"max_k": args.max_k}  # unset: each operation's own cap
     if args.close:
         if nfh.fragment is Fragment.FORALL_ONLY:
-            closed = canon.sequence_closure(nfh, max_k=args.max_k)
+            closed = canon.sequence_closure(nfh, **cap)
         else:
-            closed = canon.permutation_closure(nfh, max_k=args.max_k)
+            closed = canon.permutation_closure(nfh, **cap)
         _write(args.output, format_nfh(closed))
         return 0
-    report = canon.check_complete(nfh, max_k=args.max_k)
+    report = canon.check_complete(nfh, **cap)
     if report.complete:
         print("COMPLETE")
         return 0
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nfh")
     p.add_argument("--close", action="store_true")
     p.add_argument("-o", dest="output", default=None)
-    p.add_argument("--max-k", type=int, default=3)
+    p.add_argument("--max-k", type=int, default=None)
     p.set_defaults(func=cmd_canon)
 
     return parser

@@ -186,10 +186,13 @@ class Fa:
     def intersect(self, other: "Fa") -> "Fa":
         """Reachable product automaton."""
         self._require_same_alphabet(other)
-        out, step = self._out, other._step
+        out = self._out
+        table: list[dict[LetterT, list[int]]] = [{} for _ in range(other.n_states)]
+        for p, a, r in other.transitions:
+            table[p].setdefault(a, []).append(r)
 
         def moves(q: int, p: int) -> list[tuple[LetterT, int, int]]:
-            return [(a, q2, p2) for a, q2 in out.get(q, ()) for p2 in step.get((p, a), ())]
+            return [(a, q2, p2) for a, q2 in out.get(q, ()) for p2 in table[p].get(a, ())]
 
         return reachable_product(self, other, self.alphabet, moves)
 
@@ -310,14 +313,15 @@ def reachable_product(
     (letter, q2, p2) steps leaving (q, p), in any order; a pair accepts when
     both of its states accept.  The result is built without checks."""
     order = [(q, p) for q in sorted(a.initial) for p in sorted(b.initial)]
-    ids = {pair: i for i, pair in enumerate(order)}
+    width = b.n_states  # pair (q, p) has the key q * width + p: ints hash faster than tuples
+    ids = {q * width + p: i for i, (q, p) in enumerate(order)}
     n_initial = len(order)
     trans: list[tuple[int, LetterT, int]] = []
     for sid, (q, p) in enumerate(order):  # order grows as pairs are found
         for letter, q2, p2 in moves(q, p):
-            nid = ids.get((q2, p2))
+            nid = ids.get(q2 * width + p2)
             if nid is None:
-                nid = ids[(q2, p2)] = len(order)
+                nid = ids[q2 * width + p2] = len(order)
                 order.append((q2, p2))
             trans.append((sid, letter, nid))
     accepting = [i for i, (q, p) in enumerate(order) if q in a.accepting and p in b.accepting]

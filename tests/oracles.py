@@ -221,6 +221,54 @@ def least_selection_witness(
     return None
 
 
+# -------------------------------------------------------- completeness oracle
+
+def completeness_violation(
+    nfh: hfa.Nfh, max_len: int
+) -> Optional[tuple[tuple[Word, ...], tuple[int, ...]]]:
+    """First (x, seq) found, over tuples x of words of length at most
+    max_len and 1-based track sequences seq other than the identity (every
+    one for a universal acceptor, permutations for an existential one),
+    that is_completeness_violation holds for; None if there is none."""
+    k = nfh.k
+    universal = nfh.prefix[0] is hfa.Quantifier.FORALL
+    identity = tuple(range(1, k + 1))
+    seqs = [seq for seq in (itertools.product(identity, repeat=k) if universal
+                            else itertools.permutations(identity)) if seq != identity]
+    verdicts: dict[tuple[Word, ...], bool] = {}
+
+    def accepts(x: tuple[Word, ...]) -> bool:
+        if x not in verdicts:
+            verdicts[x] = sim_accepts(nfh.underlying, oracle_zip(x))
+        return verdicts[x]
+
+    for x in itertools.product(all_words(nfh.sigma, max_len), repeat=k):
+        if accepts(x) is not universal:
+            continue
+        for seq in seqs:
+            if accepts(tuple(x[i - 1] for i in seq)) is not universal:
+                return x, seq
+    return None
+
+
+def is_completeness_violation(nfh: hfa.Nfh, x: Sequence[Word], seq: Sequence[int]) -> bool:
+    """Whether the words x and the 1-based track sequence seq break
+    completeness: a universal acceptor accepts the zip of x and rejects
+    the zip of the words x[seq[0]-1], x[seq[1]-1], ...; an existential one
+    rejects the zip of x and accepts that of its reordering through seq.
+    Each side is zipped from its words here, so a selection never carries
+    the trailing all-pad letters that the package's pad handling strips."""
+    x, seq = tuple(x), tuple(seq)
+    k = nfh.k
+    if len(x) != k or len(seq) != k or not all(1 <= i <= k for i in seq):
+        return False
+    given = sim_accepts(nfh.underlying, oracle_zip(x))
+    selected = sim_accepts(nfh.underlying, oracle_zip(tuple(x[i - 1] for i in seq)))
+    if nfh.prefix[0] is hfa.Quantifier.FORALL:
+        return given and not selected
+    return sorted(seq) == list(range(1, k + 1)) and selected and not given
+
+
 # --------------------------------------------------------- random instances
 
 def random_nfh(

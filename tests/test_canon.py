@@ -1,11 +1,14 @@
+import functools
+import itertools
 import random
 
 import pytest
 
 from hyperfa import canon, hfa, hre
 from hyperfa.errors import PreconditionViolated, ResourceLimit, WrongFragment
-from hyperfa.hfa import Hyperword, Quantifier, pad_normalize
-from hyperfa.zipwords import apply_sequence
+from hyperfa.fa import Fa
+from hyperfa.hfa import Fragment, Hyperword, Quantifier, pad_normalize
+from hyperfa.zipwords import IndexSequence, ZipWord, apply_sequence
 
 import oracles
 
@@ -201,3 +204,101 @@ def test_canonical_equal_requires_matching_shape():
     e2 = canon.permutation_closure(compile_text("exists x1. exists x2. ([a,a])*"))
     with pytest.raises(PreconditionViolated):
         canon.canonical_equal(e1, e2)
+
+
+# ------------------------------------------------------------ completeness
+
+DIAGONAL_K4 = "forall x1. forall x2. forall x3. forall x4. ([a,a,a,a]|[b,b,b,b])*"
+# universal, closed under every reordering and under no map of rank k - 1:
+# the reorderings of one letter, such as [a,b]|[b,a]
+REORDERING_CLOSED = [
+    " ".join(f"forall x{i}." for i in range(1, k + 1)) + " "
+    + "|".join("[" + ",".join(l) + "]" for l in sorted(set(itertools.permutations("abb#"[:k]))))
+    for k in (2, 3, 4)
+]
+
+
+@functools.cache
+def completeness_sweep():
+    """Seeded random universal and existential acceptors of arity 1..4:
+    raw, closed (above arity 3 only where closures stay small), and closed
+    under a subgroup only, which every generator but one may pass; plus
+    both quantifier kinds of the arity-4 diagonal language."""
+    rng = random.Random(29)
+    sweep = []
+    for k in range(1, 5):
+        identity = tuple(range(1, k + 1))
+        subgroups = [[identity, (2, 1) + identity[2:]],
+                     [identity[r:] + identity[:r] for r in range(k)]]
+        for q in (A, E):
+            for i in range(10):
+                nfh = oracles.random_nfh(rng, fixed_prefix=(q,) * k, max_states=1 + i % 3,
+                                         density=(0.05, 0.15, 0.3)[i % 3])
+                sweep.append(nfh)
+                if i % 3 == 0 and (k < 4 or q is A):
+                    close = canon.sequence_closure if q is A else canon.permutation_closure
+                    sweep.append(close(nfh, max_k=4))
+                if i % 3 == 1 and k > 1:
+                    sweep += [hfa.Nfh(nfh.sigma, nfh.prefix, canon.selection_closure(nfh, g, k))
+                              for g in subgroups]
+    sweep += [compile_text(text) for text in REORDERING_CLOSED]
+    sweep.append(compile_text(DIAGONAL_K4))
+    sweep.append(compile_text(DIAGONAL_K4.replace("forall", "exists")))
+    return [(nfh, canon.check_complete(nfh)) for nfh in sweep]
+
+
+def ordered_scan(nfh):
+    """Completeness report from one containment check per selection (or
+    reordering) other than the identity, in lexicographic order."""
+    k, alphabet = nfh.k, nfh.underlying.alphabet
+    identity = tuple(range(1, k + 1))
+    universal = nfh.fragment is Fragment.FORALL_ONLY
+    base = pad_normalize(nfh.underlying, k)
+    encodings = canon.zip_filter_fa(nfh.sigma, k)
+    accepted = nfh.underlying.intersect(encodings)
+    seqs = itertools.product(identity, repeat=k) if universal else itertools.permutations(identity)
+    for seq in seqs:
+        if seq == identity:
+            continue
+        piece = canon.sequence_remap(base, seq, alphabet)
+        witness = (piece.contains(accepted) if universal
+                   else nfh.underlying.contains(piece.intersect(encodings)))
+        if witness is not None:
+            return canon.CompletenessReport(False, (ZipWord(k, witness), IndexSequence(seq)))
+    return canon.CompletenessReport(True, None)
+
+
+def test_check_complete_agrees_with_the_brute_force_oracle():
+    incomplete = 0
+    for nfh, report in completeness_sweep():
+        found = oracles.completeness_violation(nfh, 3 if nfh.k <= 2 else 2)
+        if found is not None:
+            assert not report.complete, (nfh, found)
+        if not report.complete:
+            incomplete += 1
+            word, seq = report.counterexample
+            words = oracles.oracle_unzip(word.letters, nfh.k)
+            assert oracles.oracle_zip(words) == word.letters  # an exact encoding
+            assert oracles.is_completeness_violation(nfh, words, seq.indices)
+    assert 10 <= incomplete <= len(completeness_sweep()) - 10
+
+
+def test_check_complete_reports_the_first_violation_of_an_ordered_scan():
+    for nfh, report in completeness_sweep():
+        if not report.complete:
+            assert report == ordered_scan(nfh)
+
+
+def test_check_complete_checks_only_generators_when_complete(monkeypatch):
+    calls = []
+    contains = Fa.contains
+    monkeypatch.setattr(Fa, "contains", lambda self, other: calls.append(1) or contains(self, other))
+    complete = [nfh for nfh, report in completeness_sweep() if report.complete]
+    assert {nfh.k for nfh in complete} == {1, 2, 3, 4}
+    for nfh in complete:
+        calls.clear()
+        assert canon.check_complete(nfh).complete
+        universal = nfh.fragment is Fragment.FORALL_ONLY
+        # a transposition, a k-cycle and, for selections, a map of rank
+        # k - 1, less the identity and repeats: at most 3 checks, or 2
+        assert len(calls) == {1: 0, 2: 1 + universal}.get(nfh.k, 2 + universal)

@@ -264,8 +264,8 @@ def test_unsupported_fragment_exits_3(tmp_path, capsys):
 
 def test_resource_limit_exits_4(tmp_path, capsys):
     wide = hfa.make_nfh(
-        "ab", (A,) * 4, 1, [0], [0],
-        [(0, l, 0) for l in hfa.all_letters("ab", 4)],
+        "ab", (A,) * 5, 1, [0], [0],
+        [(0, l, 0) for l in hfa.all_letters("ab", 5)],
     )
     path = write(tmp_path / "wide.nfh", format_nfh(wide))
     assert run_cli(["canon", path], capsys)[0] == 4
@@ -406,6 +406,16 @@ def test_canon_close_on_an_existential_acceptor(tmp_path, capsys):
 def test_canon_complete_at_arity_one(tmp_path, capsys):
     path = compile_to(tmp_path, "astar", "forall x. [a]*\n", capsys)
     assert run_cli(["canon", path], capsys) == (0, "COMPLETE\n", "")
+
+
+def test_canon_caps_default_to_the_library_caps(tmp_path, capsys):
+    # the check's own cap is 4; the closures' is 3
+    text = "forall x1. forall x2. forall x3. forall x4. ([a,a,a,a]|[b,b,b,b])*\n"
+    path = compile_to(tmp_path, "diagonal", text, capsys)
+    assert run_cli(["canon", path], capsys) == (0, "COMPLETE\n", "")
+    code, out, err = run_cli(["canon", path, "--close", "-o", str(tmp_path / "closed.nfh")], capsys)
+    assert (code, out, err) == (4, "", "error: arity 4 exceeds the cap of 3\n")
+    assert run_cli(["canon", path, "--max-k", "3"], capsys)[0] == 4
 
 
 # ------------------------------------------------------------------- learn
