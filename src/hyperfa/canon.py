@@ -43,16 +43,15 @@ def sequence_remap(fa: Fa, seq: Sequence[int], alphabet: Sequence[Letter]) -> Fa
     return fa.remap_letters(lambda l: tuple(l[i - 1] for i in seq), alphabet)
 
 
-def selection_closure(nfh: Nfh, seqs: Iterable[Sequence[int]], arity: int) -> Fa:
-    """Minimal DFA over arity-tuples: the union (existential acceptor) or the
+def selection_closure(nfh: Nfh, seqs: Iterable[Sequence[int]]) -> Fa:
+    """Minimal DFA over k-tuples: the union (existential acceptor) or the
     intersection (otherwise) of the selections of the pad-normalized
     underlying automaton through each 1-based track sequence in seqs."""
-    alphabet = all_letters(nfh.sigma, arity)
     base = pad_normalize(nfh.underlying, nfh.k)
     use_union = nfh.fragment is Fragment.EXISTS_ONLY
     result: Optional[Fa] = None
     for seq in seqs:
-        piece = sequence_remap(base, seq, alphabet)
+        piece = sequence_remap(base, seq, nfh.underlying.alphabet)
         if result is not None:
             piece = result.union(piece) if use_union else result.intersect(piece)
         result = piece.minimize()
@@ -88,7 +87,7 @@ def sequence_closure(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K) -> Nfh:
     if nfh.fragment is not Fragment.FORALL_ONLY:
         raise WrongFragment("sequence closure applies to universal acceptors")
     _require_cap(nfh.k, max_k)
-    return Nfh(nfh.sigma, nfh.prefix, selection_closure(nfh, _all_sequences(nfh.k), nfh.k))
+    return Nfh(nfh.sigma, nfh.prefix, selection_closure(nfh, _all_sequences(nfh.k)))
 
 
 def permutation_closure(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K) -> Nfh:
@@ -97,7 +96,7 @@ def permutation_closure(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K) -> Nfh:
         raise WrongFragment("permutation closure applies to existential acceptors")
     _require_cap(nfh.k, max_k)
     perms = itertools.permutations(range(1, nfh.k + 1))
-    return Nfh(nfh.sigma, nfh.prefix, selection_closure(nfh, perms, nfh.k))
+    return Nfh(nfh.sigma, nfh.prefix, selection_closure(nfh, perms))
 
 
 def check_complete(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K + 1) -> CompletenessReport:
@@ -155,7 +154,7 @@ def check_complete(nfh: Nfh, max_k: int = DEFAULT_CLOSURE_MAX_K + 1) -> Complete
 
 
 def _canonical_fa(nfh: Nfh) -> Fa:
-    closed = selection_closure(nfh, _all_sequences(nfh.k), nfh.k)
+    closed = selection_closure(nfh, _all_sequences(nfh.k))
     return closed.intersect(zip_filter_fa(nfh.sigma, nfh.k)).minimize()
 
 

@@ -59,6 +59,12 @@ def _load_nfh(path: str) -> Nfh:
     return parse_nfh(_read(path))
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
     from . import hre
 
@@ -236,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--fragment", choices=("forall", "exists"), required=True)
     p.add_argument("--trace", default=None, help="JSON-lines event log path")
-    p.add_argument("--max-k", type=int, default=4)
+    p.add_argument("--max-k", type=_positive_int, default=4)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("gen-ham", help="Hamiltonian-cycle membership instance")

@@ -7,12 +7,11 @@ without consulting the teacher.  Counterexamples larger than the current
 variable count raise it; the table is rebuilt by widening every label and
 refilling entries.
 
-The automated teacher answers equivalence queries by comparing, for each
-candidate hyperword size s, the automata of zip encodings whose track sets
-are accepted: for a universal target the intersection over all maps from
-variables to s tracks, for an existential target the union.  The shortest
-encoding in the symmetric difference decodes to a counterexample of
-minimal size.
+The automated teacher answers equivalence queries with hfa.contains run
+both ways, the one selection search that decides containment.  Each
+witness is shrunk greedily by dropping words while target and candidate
+still disagree, so counterexamples are irreducible, though not always of
+least size.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
-from .canon import check_complete, selection_closure, zip_filter_fa
+from .canon import check_complete
 from .errors import (
     AlphabetMismatch,
     BudgetExceeded,
@@ -38,7 +37,7 @@ from .hfa import (
     Hyperword,
     Nfh,
     Quantifier,
-    equivalent as hfa_equivalent,
+    contains as hfa_contains,
     member as hfa_member,
 )
 from .zipwords import (
@@ -289,14 +288,14 @@ class AutomatedTeacher:
 
     Candidates must share the target's fragment, because comparing the
     sizes up to the larger arity decides equivalence only then.
-    Equivalence counterexamples are minimal in hyperword size; the per-size
-    construction is capped at 256 variable-to-track maps, past which the
-    teacher falls back to the generic containment check plus greedy
-    shrinking of its witness.  A counterexample longer than the config's
+    Equivalence counterexamples are irreducible: dropping any one of their
+    words makes target and candidate agree.  They are found by the
+    containment search both ways and shrunk greedily, so their size is at
+    most the larger arity but not always the least.  Of the two
+    directions the least (size, longest word, words) is returned, signed
+    by the target's own answer.  A counterexample longer than the config's
     max_word_length raises ResourceLimit.
     """
-
-    MAP_CAP = 256
 
     def __init__(self, target: Nfh, config: Optional[LearnerConfig] = None):
         if target.fragment not in (Fragment.FORALL_ONLY, Fragment.EXISTS_ONLY):
@@ -305,21 +304,12 @@ class AutomatedTeacher:
         self.sigma = target.sigma
         self.config = config or LearnerConfig()
         self._members: dict[tuple, bool] = {}
-        self._target_restrictions: dict[int, Fa] = {}
 
     def member(self, hw: Hyperword) -> bool:
         key = hw.words
         if key not in self._members:
             self._members[key] = hfa_member(self.target, hw)
         return self._members[key]
-
-    def _restriction(self, nfh: Nfh, size: int) -> Fa:
-        """DFA over size-tuples accepting exactly the encodings of accepted
-        track sets (union of selections for exists, intersection for forall)."""
-        if size ** nfh.k > self.MAP_CAP:
-            raise ResourceLimit("restriction map family too large")
-        seqs = itertools.product(range(1, size + 1), repeat=nfh.k)
-        return selection_closure(nfh, seqs, size)
 
     def equivalent(self, candidate: Nfh) -> Optional[tuple[Hyperword, bool]]:
         if candidate.sigma != self.sigma:
@@ -329,46 +319,30 @@ class AutomatedTeacher:
                 f"candidate fragment {candidate.fragment.value} differs from the "
                 f"target's {self.target.fragment.value}"
             )
-        top = max(candidate.k, self.target.k)
-        for size in range(1, top + 1):
-            try:
-                if size not in self._target_restrictions:
-                    self._target_restrictions[size] = self._restriction(self.target, size)
-                rt = self._target_restrictions[size]
-                rc = self._restriction(candidate, size)
-            except ResourceLimit:
-                return self._fallback(candidate)
-            encodings = zip_filter_fa(self.sigma, size)
-            found = [(len(w), w, positive) for w, positive in (
-                (rt.contains(rc.intersect(encodings)), False),
-                (rc.contains(rt.intersect(encodings)), True),
-            ) if w is not None]
-            if found:
-                length, word, positive = min(found)
-                bound = self.config.max_word_length
-                if length > bound:
-                    raise ResourceLimit(
-                        f"counterexample length {length} exceeds the word-length bound {bound}"
-                    )
-                return Hyperword.of(unzip(ZipWord(size, word))), positive
-        return None
-
-    def _fallback(self, candidate: Nfh) -> Optional[tuple[Hyperword, bool]]:
-        outcome = hfa_equivalent(
-            candidate, self.target, max_k=candidate.k + self.target.k
-        )
-        if outcome is None:
+        found = []
+        for a1, a2 in ((candidate, self.target), (self.target, candidate)):
+            witness = hfa_contains(a1, a2, max_k=candidate.k + self.target.k)
+            if witness is not None:
+                words = self._shrink(candidate, witness).words
+                found.append((len(words), max(map(len, words)), words))
+        if not found:
             return None
-        hw, _side = outcome
-        words = list(hw.words)
-        shrunk = True
-        while shrunk and len(words) > 1:
-            shrunk = False
-            for w in list(words):
-                trial = Hyperword.of([x for x in words if x != w])
-                if self.member(trial) != hfa_member(candidate, trial):
-                    words = list(trial.words)
-                    shrunk = True
-                    break
+        _size, length, words = min(found)
+        bound = self.config.max_word_length
+        if length > bound:
+            raise ResourceLimit(
+                f"counterexample length {length} exceeds the word-length bound {bound}"
+            )
         final = Hyperword.of(words)
         return final, self.member(final)
+
+    def _shrink(self, candidate: Nfh, hw: Hyperword) -> Hyperword:
+        """Drop the first word whose removal keeps the target and the
+        candidate disagreeing, until no word can go."""
+        while len(hw) > 1:
+            smaller = (Hyperword.of(hw.words[:i] + hw.words[i + 1:]) for i in range(len(hw)))
+            trial = next((t for t in smaller if self.member(t) != hfa_member(candidate, t)), None)
+            if trial is None:
+                break
+            hw = trial
+        return hw

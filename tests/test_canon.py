@@ -239,7 +239,7 @@ def completeness_sweep():
                     close = canon.sequence_closure if q is A else canon.permutation_closure
                     sweep.append(close(nfh, max_k=4))
                 if i % 3 == 1 and k > 1:
-                    sweep += [hfa.Nfh(nfh.sigma, nfh.prefix, canon.selection_closure(nfh, g, k))
+                    sweep += [hfa.Nfh(nfh.sigma, nfh.prefix, canon.selection_closure(nfh, g))
                               for g in subgroups]
     sweep += [compile_text(text) for text in REORDERING_CLOSED]
     sweep.append(compile_text(DIAGONAL_K4))

@@ -479,6 +479,17 @@ def test_learn_variable_cap_is_an_error(tmp_path, capsys):
     assert code == 4 and "variables" in err and "cap of 1" in err
 
 
+def test_learn_variable_cap_below_one_is_a_usage_error(tmp_path, capsys):
+    target_path = compile_to(tmp_path, "a1", A1_TEXT, capsys)
+    for bad in ("0", "-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["learn", "--target", target_path, "--fragment", "forall",
+                      "--max-k", bad])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--max-k" in captured.err and "Traceback" not in captured.err
+
+
 # ------------------------------------------------------- installed command
 
 def test_console_entry_point(tmp_path):

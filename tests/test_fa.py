@@ -409,7 +409,7 @@ def test_internal_constructions_skip_the_checked_constructor(monkeypatch):
     hfa.intersect(exists, exists_forall)
     hfa.intersect(exists, exists_forall, (1, 0, 0, 1))
     for nfh in (exists, exists_forall):
-        canon.selection_closure(nfh, [(1, 2), (2, 1), (1, 1)], 2)
+        canon.selection_closure(nfh, [(1, 2), (2, 1), (1, 1)])
     # a plain alphabet is normalized and checked
     with pytest.raises(AssertionError, match="checked constructor"):
         c.remap_letters(lambda l: l, ("b", "a"))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -250,21 +251,12 @@ def test_teacher_minimal_counterexample_size_two():
     assert not teacher.member(hw)
 
 
-def test_teacher_restrictions_come_out_minimal():
-    for text in [A1_TEXT, A3_TEXT, "exists x1. exists x2. ([a,b])*"]:
-        target = compile_text(text)
-        teacher = learn.AutomatedTeacher(target)
-        for size in (1, 2, 3):
-            got = teacher._restriction(target, size)
-            assert oracles.fa_shape(got.minimize()) == oracles.fa_shape(got)
-
-
 def test_teacher_counterexamples_recheck_and_are_bounded():
     rng = random.Random(29)
-    for _ in range(12):
-        target = oracles.random_nfh(rng, prefix_pool=(A,))
+    for q, top in [(A, 2)] * 12 + [(E, 2), (A, 3), (E, 3)] * 8:
+        target = oracles.random_nfh(rng, prefix_pool=(q,))
         candidate = oracles.random_nfh(
-            rng, fixed_prefix=(A,) * rng.randint(1, 2)
+            rng, fixed_prefix=(q,) * rng.randint(1, top)
         )
         teacher = learn.AutomatedTeacher(target)
         got = teacher.equivalent(candidate)
@@ -276,6 +268,59 @@ def test_teacher_counterexamples_recheck_and_are_bounded():
             assert len(hw) <= max(target.k, candidate.k)
             assert hfa.member(target, hw) == positive
             assert hfa.member(candidate, hw) != positive
+
+
+# an E target accepting every nonempty hyperword against an equivalent EEE
+# candidate of 2 states and 29 transitions; oracles.random_nfh with seed 44
+BLOWUP_TARGET = """nfh k=1 sigma=a,b prefix=E
+state 0 init accept
+trans 0 (a) 0
+trans 0 (b) 0
+"""
+BLOWUP_CANDIDATE = """nfh k=3 sigma=a,b prefix=EEE
+state 0 init accept
+state 1 init
+trans 0 (#,#,a) 1
+trans 0 (#,a,#) 1
+trans 0 (#,a,b) 1
+trans 0 (#,b,b) 1
+trans 0 (a,#,a) 0
+trans 0 (a,#,b) 1
+trans 0 (a,a,a) 0
+trans 0 (a,b,a) 1
+trans 0 (b,a,#) 1
+trans 0 (b,a,b) 0
+trans 0 (b,b,#) 1
+trans 0 (b,b,a) 0
+trans 0 (b,b,a) 1
+trans 0 (b,b,b) 0
+trans 0 (b,b,b) 1
+trans 1 (#,#,b) 0
+trans 1 (#,b,a) 0
+trans 1 (#,b,b) 0
+trans 1 (#,b,b) 1
+trans 1 (a,#,#) 0
+trans 1 (a,#,b) 0
+trans 1 (a,a,a) 1
+trans 1 (a,a,b) 1
+trans 1 (a,b,b) 0
+trans 1 (a,b,b) 1
+trans 1 (b,a,b) 1
+trans 1 (b,b,a) 1
+trans 1 (b,b,b) 0
+trans 1 (b,b,b) 1
+"""
+
+
+def test_teacher_answers_a_small_equivalent_pair_quickly():
+    # a subset construction over all 27 variable-to-track maps ran out of memory here
+    target, candidate = hfa.parse_nfh(BLOWUP_TARGET), hfa.parse_nfh(BLOWUP_CANDIDATE)
+    teacher = learn.AutomatedTeacher(target)
+    start = time.perf_counter()
+    assert teacher.equivalent(candidate) is None
+    assert time.perf_counter() - start < 1
+    for ws in oracles.all_hyperwords("ab", 3, 2):
+        assert oracles.brute_member(target, ws) == oracles.brute_member(candidate, ws)
 
 
 def test_teacher_word_length_bound_reaches_the_caller():
@@ -335,25 +380,15 @@ def test_learn_a1():
     assert canon.canonical_equal(got, canon.sequence_closure(target))
 
 
-def test_teacher_falls_back_past_the_map_cap(monkeypatch):
-    # 5 variables make 4**5 maps at size 4, past the teacher's cap of 256
+def test_teacher_answers_five_variable_candidates():
     text = "forall x1. forall x2. forall x3. forall x4. forall x5. ([a,a,a,a,a]|[b,b,b,b,b])*"
     target = compile_text(text)
     teacher = learn.AutomatedTeacher(target, learn.LearnerConfig(max_k=5))
-    fallbacks = []
-    fallback = teacher._fallback
-
-    def counted(candidate):
-        fallbacks.append(candidate)
-        return fallback(candidate)
-
-    monkeypatch.setattr(teacher, "_fallback", counted)
     got = learn.learn(teacher, Fragment.FORALL_ONLY, learn.LearnerConfig(max_k=5))
-    assert fallbacks
     for words in oracles.all_hyperwords("ab", 3, 3):
         assert hfa.member(got, Hyperword.of(words)) == hfa.member(target, Hyperword.of(words))
     # a wrong candidate gets a counterexample the target rejects
-    assert fallback(universal_nfh((A, A))) == (Hyperword.of([(), ("a",)]), False)
+    assert teacher.equivalent(universal_nfh((A, A))) == (Hyperword.of([(), ("a",)]), False)
 
 
 def test_learn_wrong_fragment():
