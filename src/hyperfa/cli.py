@@ -65,6 +65,11 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _cap(args: argparse.Namespace) -> dict:
+    """max_k when --max-k is given; unset, each operation keeps its own cap."""
+    return {} if args.max_k is None else {"max_k": args.max_k}
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
     from . import hre
 
@@ -90,7 +95,7 @@ def cmd_member(args: argparse.Namespace) -> int:
 
 def cmd_empty(args: argparse.Namespace) -> int:
     nfh = _load_nfh(args.nfh)
-    witness = nonempty_exists_forall(nfh, max_k=args.max_k)
+    witness = nonempty_exists_forall(nfh, **_cap(args))
     if witness is None:
         print("EMPTY")
         return 1
@@ -101,7 +106,7 @@ def cmd_empty(args: argparse.Namespace) -> int:
 def cmd_contains(args: argparse.Namespace) -> int:
     left = _load_nfh(args.nfh1)
     right = _load_nfh(args.nfh2)
-    witness = contains(left, right, max_k=args.max_k)
+    witness = contains(left, right, **_cap(args))
     if witness is None:
         print("CONTAINED")
         return 0
@@ -112,7 +117,7 @@ def cmd_contains(args: argparse.Namespace) -> int:
 def cmd_equiv(args: argparse.Namespace) -> int:
     left = _load_nfh(args.nfh1)
     right = _load_nfh(args.nfh2)
-    outcome = equivalent(left, right, max_k=args.max_k)
+    outcome = equivalent(left, right, **_cap(args))
     if outcome is None:
         print("EQUIVALENT")
         return 0
@@ -129,7 +134,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
     target = _load_nfh(args.target)
     fragment = Fragment.FORALL_ONLY if args.fragment == "forall" else Fragment.EXISTS_ONLY
-    config = LearnerConfig(max_k=args.max_k)
+    config = LearnerConfig(**_cap(args))
     teacher = AutomatedTeacher(target, config)
     if target.fragment is not fragment:
         raise WrongFragment(f"--fragment {fragment.value} differs from the target's "
@@ -183,7 +188,7 @@ def cmd_canon(args: argparse.Namespace) -> int:
     from . import canon
 
     nfh = _load_nfh(args.nfh)
-    cap = {} if args.max_k is None else {"max_k": args.max_k}  # unset: each operation's own cap
+    cap = _cap(args)
     if args.close:
         if nfh.fragment is Fragment.FORALL_ONLY:
             closed = canon.sequence_closure(nfh, **cap)
@@ -223,26 +228,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("empty", help="emptiness with witness")
     p.add_argument("nfh")
-    p.add_argument("--max-k", type=int, default=4)
+    p.add_argument("--max-k", type=_positive_int)
     p.set_defaults(func=cmd_empty)
 
     p = sub.add_parser("contains", help="is every hyperword of nfh1 (E*A*) one of nfh2 (A*E*)")
     p.add_argument("nfh1")
     p.add_argument("nfh2")
-    p.add_argument("--max-k", type=int, default=4)
+    p.add_argument("--max-k", type=_positive_int)
     p.set_defaults(func=cmd_contains)
 
     p = sub.add_parser("equiv", help="do both accept the same hyperwords")
     p.add_argument("nfh1")
     p.add_argument("nfh2")
-    p.add_argument("--max-k", type=int, default=4)
+    p.add_argument("--max-k", type=_positive_int)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("learn", help="learn an acceptor from a target via queries")
     p.add_argument("--target", required=True)
     p.add_argument("--fragment", choices=("forall", "exists"), required=True)
     p.add_argument("--trace", default=None, help="JSON-lines event log path")
-    p.add_argument("--max-k", type=_positive_int, default=4)
+    p.add_argument("--max-k", type=_positive_int)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("gen-ham", help="Hamiltonian-cycle membership instance")
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nfh")
     p.add_argument("--close", action="store_true")
     p.add_argument("-o", dest="output", default=None)
-    p.add_argument("--max-k", type=int, default=None)
+    p.add_argument("--max-k", type=_positive_int)
     p.set_defaults(func=cmd_canon)
 
     return parser

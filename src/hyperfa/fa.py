@@ -86,7 +86,9 @@ class Fa:
 
     def _edges(self, q: int) -> tuple[tuple[int, LetterT, int], ...]:
         """q's transitions, without caching: sorted by (state, letter,
-        target), they are one slice of transitions."""
+        target), they are one slice of transitions.  Reading the cached _out
+        instead caches it on the products that callers keep, which raised
+        the decide benchmark's peak RSS from 76 to 82-97 MB."""
         trans = self.transitions
         return trans[bisect_left(trans, (q,)):bisect_left(trans, (q + 1,))]
 
@@ -248,9 +250,8 @@ class Fa:
         """Inverse-image relabelling.
 
         The result has a transition on letter a iff this automaton has a
-        same-endpoint transition on f(a); f may also return an iterable of
-        letters (transition iff any image letter has one).  Hence the result
-        accepts w iff this automaton accepts some letterwise image of w.
+        same-endpoint transition on f(a).  Hence the result accepts w iff
+        this automaton accepts the letterwise image of w.
         """
         if not isinstance(new_alphabet, TupleAlphabet):
             new_alphabet = tuple(new_alphabet)
@@ -259,11 +260,8 @@ class Fa:
         for q, a, r in self.transitions:
             by_letter.setdefault(a, []).append((q, r))
         for a in new_alphabet:
-            image = f(a)
-            olds = [image] if (isinstance(image, tuple) or not isinstance(image, (list, set, frozenset))) else sorted(image)
-            for old in olds:
-                for q, r in by_letter.get(old, ()):
-                    trans.append((q, a, r))
+            for q, r in by_letter.get(f(a), ()):
+                trans.append((q, a, r))
         # a TupleAlphabet is kept as given; Fa sorts and dedupes a plain one
         build = Fa._sorted if isinstance(new_alphabet, TupleAlphabet) else Fa
         return build(new_alphabet, self.n_states, self.initial, self.accepting, sorted(set(trans)))

@@ -190,7 +190,7 @@ def pad_accept(fa: Fa, arity: int) -> Fa:
 
 # Above this many assignments of the innermost quantifier block, member
 # decides that block by _search_member instead of enumerating it.  Below it,
-# building the residual automaton costs more than the enumeration it saves.
+# building the suffix automaton costs more than the enumeration it saves.
 MEMBER_SEARCH_CUTOVER = 256
 
 
@@ -243,50 +243,42 @@ def member(nfh: Nfh, hw: Hyperword) -> bool:
     return rec(0, ())
 
 
-class _Residuals:
-    """The residuals of a trim word automaton over sigma, built lazily.
+class _Subsets:
+    """The subset construction of the automaton whose state q has the
+    (letter, target) edges out.get(q, ()), built lazily: of(states) interns
+    a frozenset of states as an id, sets[id] reads it back, and table(id)
+    maps each letter the subset reads to its successor's id."""
 
-    A residual is a frozenset of states, interned as an id; out[q] lists
-    state q's (symbol, target) edges.  table(r) maps each symbol r reads to
-    the next residual, and PAD to ENDED, the empty set, when r meets the
-    accepting states; ENDED reads only PAD.
-    """
-
-    ENDED = 0
-
-    def __init__(self, out, accepting: frozenset[int]):
+    def __init__(self, out):
         self._out = out
-        self._accepting = accepting
         self._ids: dict[frozenset[int], int] = {}
-        self._sets: list[frozenset[int]] = [frozenset()]
-        self._tables: list[Optional[dict[str, int]]] = [{PAD: self.ENDED}]
+        self.sets: list[frozenset[int]] = []
+        self._tables: list[Optional[dict]] = []
 
     def of(self, states: frozenset[int]) -> int:
         r = self._ids.get(states)
         if r is None:
-            r = self._ids[states] = len(self._sets)
-            self._sets.append(states)
+            r = self._ids[states] = len(self.sets)
+            self.sets.append(states)
             self._tables.append(None)
         return r
 
-    def table(self, r: int) -> dict[str, int]:
+    def table(self, r: int) -> dict:
         table = self._tables[r]
         if table is None:
-            nxt: dict[str, set[int]] = {}
-            for q in self._sets[r]:
-                for sym, t in self._out[q]:
-                    nxt.setdefault(sym, set()).add(t)
-            table = {sym: self.of(frozenset(ts)) for sym, ts in nxt.items()}
-            if not self._accepting.isdisjoint(self._sets[r]):
-                table[PAD] = self.ENDED
-            self._tables[r] = table
+            nxt: dict = {}
+            for q in self.sets[r]:
+                for letter, t in self._out.get(q, ()):
+                    nxt.setdefault(letter, set()).add(t)
+            table = self._tables[r] = {a: self.of(frozenset(ts)) for a, ts in nxt.items()}
         return table
 
 
 def _search_member(nfh: Nfh, words: Sequence[Word], outer: int) -> bool:
     """member with the innermost quantifier block, tracks outer..k-1, decided
     by _block_search for each assignment of the outer tracks."""
-    # S's suffix automaton: suffix 0 is the empty word, s > 0 a (symbol, tail) edge
+    # S's suffix automaton: suffix 0 is the empty word, which reads pad for
+    # good; s > 0 reads one (symbol, tail) edge
     ids: dict[tuple[str, int], int] = {}
     starts = []
     for w in words:
@@ -294,15 +286,15 @@ def _search_member(nfh: Nfh, words: Sequence[Word], outer: int) -> bool:
         for sym in reversed(w):
             s = ids.setdefault((sym, s), len(ids) + 1)
         starts.append(s)
-    residuals = _Residuals([()] + [(edge,) for edge in ids], frozenset((0,)))
+    tracks = _Subsets({0: ((PAD, 0),), **{s: (edge,) for edge, s in ids.items()}})
     prefix = nfh.prefix
-    inner = (residuals.of(frozenset(starts)),) * (nfh.k - outer)
+    inner = (tracks.of(frozenset(starts)),) * (nfh.k - outer)
     exists = prefix[-1] is Quantifier.EXISTS
 
     def rec(i: int, chosen: tuple[int, ...]) -> bool:
         if i == outer:
-            return _block_search(nfh.underlying, residuals, chosen + inner, exists)
-        branches = (rec(i + 1, chosen + (residuals.of(frozenset((s,))),)) for s in starts)
+            return _block_search(nfh.underlying, tracks, chosen + inner, exists)
+        branches = (rec(i + 1, chosen + (tracks.of(frozenset((s,))),)) for s in starts)
         if prefix[i] is Quantifier.EXISTS:
             return any(branches)
         return all(branches)
@@ -310,63 +302,47 @@ def _search_member(nfh: Nfh, words: Sequence[Word], outer: int) -> bool:
     return rec(0, ())
 
 
-def _block_search(fa: Fa, residuals: _Residuals, start: tuple[int, ...], exists: bool) -> bool:
+def _block_search(fa: Fa, tracks: _Subsets, start: tuple[int, ...], exists: bool) -> bool:
     """Decide one quantifier block by a search of configurations.
 
-    A configuration is (subset of fa states, residual of each track); start
-    holds a fixed track's word and a quantified track's whole set.
-    Letters are read as in zip encodings: a track reads a symbol of its
-    residual or, once its word can end there, pad for good; the
-    all-pad letter is never read.  At a configuration where every track can
-    end, the subset decides the assignment it spells.  For EXISTS the block
-    holds iff some such subset meets the accepting states.  For FORALL it
-    fails iff some such subset misses them, or some readable letter has no
+    A configuration is (subset of fa states, subset of each track's word
+    automaton), both as ids interned by a _Subsets; start holds a fixed
+    track's word and a quantified track's whole set.  A track's word
+    automaton ends each word by a pad edge into a state that reads only
+    pad, so letters are read as in zip encodings, and the all-pad letter is
+    never read.  At a configuration where every track can read pad, the
+    subset decides the assignment it spells.  For EXISTS the block holds iff
+    some such subset meets the accepting states.  For FORALL it fails iff
+    some such subset misses them, or some letter the tracks can read has no
     transition from the subset (each track can still complete its word).
     """
+    subsets = _Subsets(fa._out)
     accepting = fa.accepting
-    step = fa._step
-    out = fa._out
     all_pad = (PAD,) * len(start)
-    first = (fa.initial, start)
+    first = (subsets.of(fa.initial), start)
     seen = {first}
     stack = [first]
     while stack:
-        subset, res = stack.pop()
-        tables = [residuals.table(r) for r in res]
+        s, res = stack.pop()
+        tables = [tracks.table(r) for r in res]
         can_end = all(PAD in t for t in tables)
-        if can_end and bool(subset & accepting) is exists:
+        if can_end and accepting.isdisjoint(subsets.sets[s]) is not exists:
             return exists  # a witness for EXISTS, a counterexample for FORALL
-        n_letters = math.prod(len(t) for t in tables) - can_end
-        succ: dict[Letter, tuple[tuple[int, ...], set[int]]] = {}
-        if n_letters <= sum(len(out.get(q, ())) for q in subset):
-            for combo in itertools.product(*(t.items() for t in tables)):
-                letter = tuple(sym for sym, _ in combo)
-                if letter == all_pad:
-                    continue
-                targets = set()
-                for q in subset:
-                    targets.update(step.get((q, letter), ()))
-                if targets:
-                    succ[letter] = (tuple(r for _, r in combo), targets)
-        else:
-            for q in subset:
-                for letter, target in out.get(q, ()):
-                    if letter not in succ:
-                        try:
-                            nxt = tuple([t[sym] for t, sym in zip(tables, letter)])
-                        except KeyError:
-                            continue
-                        if letter == all_pad:
-                            continue
-                        succ[letter] = (nxt, set())
-                    succ[letter][1].add(target)
-        if not exists and len(succ) < n_letters:
-            return False
-        for nxt, targets in succ.values():
-            node = (frozenset(targets), nxt)
+        n_succ = 0
+        for letter, nxt_s in subsets.table(s).items():
+            try:
+                nxt = tuple([t[sym] for t, sym in zip(tables, letter)])
+            except KeyError:
+                continue
+            if letter == all_pad:
+                continue
+            n_succ += 1
+            node = (nxt_s, nxt)
             if node not in seen:
                 seen.add(node)
                 stack.append(node)
+        if not exists and n_succ < math.prod(len(t) for t in tables) - can_end:
+            return False
     return not exists
 
 
@@ -576,7 +552,7 @@ def regular_member(lang: Fa, nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> bool:
     """
     if tuple(sorted(lang.alphabet)) != nfh.sigma:
         raise AlphabetMismatch("regular language and acceptor declare different alphabets")
-    live = _coreachable(lang)  # trims lang: residuals hold only reachable states
+    live = _coreachable(lang)  # trims lang: the tracks hold only live states
     if live.isdisjoint(lang.initial):
         raise EmptyRegularLanguage("membership of the empty language is undefined")
     _require_cap(nfh.k, max_k)
@@ -595,12 +571,16 @@ def regular_member(lang: Fa, nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> bool:
                                  set(range(dfa.n_states)) - dfa.accepting, dfa.transitions)
             negated = not negated
         current = _project_track(current, padded, nfh.sigma, k)
-    residuals = _Residuals({q: [(a, r) for a, r in lang._out.get(q, ()) if r in live]
-                            for q in live}, lang.accepting)
-    start = (residuals.of(lang.initial & live),) * m
+    end = lang.n_states  # a word ends by a pad edge into end, which reads only pad
+    out = {q: [(a, r) for a, r in lang._out.get(q, ()) if r in live] for q in live}
+    for q in lang.accepting & live:
+        out[q].append((PAD, end))
+    out[end] = [(PAD, end)]
+    tracks = _Subsets(out)
+    start = (tracks.of(lang.initial & live),) * m
     # a block over a negation holds iff the dual block over it fails
     exists = (prefix[0] is Quantifier.EXISTS) is not negated
-    return _block_search(current, residuals, start, exists) is not negated
+    return _block_search(current, tracks, start, exists) is not negated
 
 
 def _project_track(current: Fa, padded: Fa, sigma: tuple[str, ...], k: int) -> Fa:

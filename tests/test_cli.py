@@ -479,12 +479,14 @@ def test_learn_variable_cap_is_an_error(tmp_path, capsys):
     assert code == 4 and "variables" in err and "cap of 1" in err
 
 
-def test_learn_variable_cap_below_one_is_a_usage_error(tmp_path, capsys):
-    target_path = compile_to(tmp_path, "a1", A1_TEXT, capsys)
+@pytest.mark.parametrize("command", ["empty", "contains", "equiv", "canon", "learn"])
+def test_learn_variable_cap_below_one_is_a_usage_error(tmp_path, capsys, command):
+    path = compile_to(tmp_path, "a1", A1_TEXT, capsys)
+    args = {"contains": [path, path], "equiv": [path, path],
+            "learn": ["--target", path, "--fragment", "forall"]}.get(command, [path])
     for bad in ("0", "-1", "x"):
         with pytest.raises(SystemExit) as exc:
-            cli_main(["learn", "--target", target_path, "--fragment", "forall",
-                      "--max-k", bad])
+            cli_main([command, *args, "--max-k", bad])
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert "--max-k" in captured.err and "Traceback" not in captured.err

@@ -362,7 +362,6 @@ def test_unchecked_results_equal_checked_construction():
         outs = [a.determinize(), a.complement(), a.minimize(), product, a.union(b)]
         if letters is pairs:
             outs += [a.remap_letters(lambda l: (l[1], l[0]), pairs),
-                     a.remap_letters(lambda l: {(l[0], l[0]), (l[1], l[1])}, pairs),
                      hfa.pad_normalize(a, 2), hfa.pad_accept(a, 2)]
         else:
             outs.append(a.remap_letters(lambda l: l[0], all_letters(letters, 1)))

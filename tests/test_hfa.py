@@ -106,7 +106,7 @@ def test_member_search_matches_brute_force_on_every_prefix(monkeypatch):
     rng = random.Random(61)
     nonempty = oracles.all_words("ab", 4)[1:]
     verdicts = {}
-    for k in (3, 4):
+    for k in (1, 2, 3, 4):
         for prefix in itertools.product((A, E), repeat=k):
             for _ in range(3):
                 nfh = oracles.random_nfh(
@@ -122,7 +122,7 @@ def test_member_search_matches_brute_force_on_every_prefix(monkeypatch):
                         kinds = set(acc.prefix)
                         shape = "A" if kinds == {A} else "E" if kinds == {E} else "AE"
                         verdicts.setdefault(shape, set()).add(got)
-    assert len(calls) == (8 + 16) * 3 * 2 * 3
+    assert len(calls) == (2 + 4 + 8 + 16) * 3 * 2 * 3
     assert verdicts == {"A": {False, True}, "E": {False, True}, "AE": {False, True}}
 
 
