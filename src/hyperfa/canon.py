@@ -20,27 +20,31 @@ closures would disagree with member on concrete instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionViolated, WrongFragment
 from .fa import Fa
 from .hfa import Fragment, Nfh, _require_cap, pad_normalize
-from .zipwords import PAD, IndexSequence, Letter, ZipWord, all_letters
+from .zipwords import PAD, IndexSequence, Letter, ZipWord, _Record, all_letters
 
 DEFAULT_CLOSURE_MAX_K = 3
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    complete: bool
-    counterexample: Optional[tuple[ZipWord, IndexSequence]]
+class CompletenessReport(_Record):
+    """Fields complete (bool) and counterexample: None when complete, else a
+    (ZipWord, IndexSequence) witness."""
+
+    __slots__ = ("complete", "counterexample")
 
 
 def sequence_remap(fa: Fa, seq: Sequence[int], alphabet: Sequence[Letter]) -> Fa:
     """Automaton accepting w iff fa accepts the letterwise selection of w
     through the 1-based track sequence seq."""
-    return fa.remap_letters(lambda l: tuple(l[i - 1] for i in seq), alphabet)
+    picks = [i - 1 for i in seq]
+    # itemgetter of one index returns the item itself, not a 1-tuple
+    select = itemgetter(*picks) if len(picks) > 1 else itemgetter(slice(picks[0], picks[0] + 1))
+    return fa.remap_letters(select, alphabet)
 
 
 def selection_closure(nfh: Nfh, seqs: Iterable[Sequence[int]]) -> Fa:

@@ -4,7 +4,9 @@ Boolean outcomes are encoded in the exit code (0 = yes, 1 = no); exit 2
 flags parse or usage problems, 3 an unsupported quantifier fragment, 4 a
 resource cap or input nested past the recursion limit.  ``compile``,
 ``canon`` and ``learn`` import their modules inside the command, so the
-decision subcommands load only errors, zipwords, fa and hfa.
+decision subcommands load only errors, zipwords, fa and hfa.  The package's
+records subclass zipwords._Record, not the standard library's data classes,
+whose import pulls in inspect, ast and dis.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ import itertools
 import math
 import re
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -42,6 +41,7 @@ from .zipwords import (
     Letter,
     Word,
     ZipWord,
+    _Record,
     all_letters,
     check_symbol,
     parse_word,
@@ -78,11 +78,16 @@ def classify(prefix: Sequence[Quantifier]) -> Fragment:
     return Fragment.OTHER
 
 
-@dataclass(frozen=True)
-class Hyperword:
+class Hyperword(_Record):
     """Nonempty, deduplicated, canonically sorted set of plain words."""
 
-    words: tuple[Word, ...]
+    __slots__ = ("words",)
+
+    def __init__(self, words: tuple[Word, ...]) -> None:
+        object.__setattr__(self, "words", words)
+
+    def _key(self) -> tuple:
+        return (self.words,)
 
     @classmethod
     def of(cls, words: Iterable[Word]) -> "Hyperword":

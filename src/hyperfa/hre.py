@@ -25,80 +25,66 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union as TUnion
 
 from .errors import ArityMismatch, HreSyntaxError, UnknownSymbol
 from .fa import Fa
 from .hfa import Nfh, Quantifier
-from .zipwords import PAD, Letter, all_letters, check_symbol
+from .zipwords import PAD, Letter, _Record, all_letters, check_symbol
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class Sym(_Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Pad:
-    pass
+class Pad(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Any:
-    pass
+class Any(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NotSym:
-    name: str
+class NotSym(_Record):
+    __slots__ = ("name",)
 
 
 Component = TUnion[Sym, Pad, Any, NotSym]
 
 
-@dataclass(frozen=True)
-class Empty:
-    pass
+class Empty(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eps:
-    pass
+class Eps(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TupleLetter:
-    comps: tuple[Component, ...]
+class TupleLetter(_Record):
+    __slots__ = ("comps",)  # tuple[Component, ...]
 
 
-@dataclass(frozen=True)
-class Alt:
-    items: tuple["Node", ...]
+class Alt(_Record):
+    __slots__ = ("items",)  # tuple[Node, ...]
 
 
-@dataclass(frozen=True)
-class Concat:
-    items: tuple["Node", ...]
+class Concat(_Record):
+    __slots__ = ("items",)  # tuple[Node, ...]
 
 
-@dataclass(frozen=True)
-class Star:
-    item: "Node"
+class Star(_Record):
+    __slots__ = ("item",)  # Node
 
 
-@dataclass(frozen=True)
-class Plus:
-    item: "Node"
+class Plus(_Record):
+    __slots__ = ("item",)  # Node
 
 
 Node = TUnion[Empty, Eps, TupleLetter, Alt, Concat, Star, Plus]
 
 
-@dataclass(frozen=True)
-class HreAst:
-    prefix: tuple[tuple[Quantifier, str], ...]
-    body: Node
+class HreAst(_Record):
+    __slots__ = ("prefix", "body")  # tuple[tuple[Quantifier, str], ...], Node
 
     @property
     def arity(self) -> int:
@@ -112,11 +98,13 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)+")
 
 
-@dataclass
-class _Token:
-    kind: str  # NAME, or the literal punctuation character, or EOF
-    text: str
-    pos: int
+class _Token(_Record):
+    __slots__ = ("kind", "text", "pos")  # kind: NAME, the punctuation character or EOF
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -17,7 +17,6 @@ least size.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 from .canon import check_complete
@@ -43,6 +42,7 @@ from .hfa import (
 from .zipwords import (
     Letter,
     ZipWord,
+    _Record,
     all_letters,
     apply_sequence,
     is_exact_zip,
@@ -64,15 +64,13 @@ class Teacher(Protocol):
     def equivalent(self, candidate: Nfh) -> Optional[tuple[Hyperword, bool]]: ...
 
 
-@dataclass(frozen=True)
-class LearnerConfig:
-    max_k: int = 4
-    max_iterations: int = 200
-    max_word_length: int = 64
+class LearnerConfig(_Record):
+    __slots__ = ("max_k", "max_iterations", "max_word_length")
 
-    def __post_init__(self) -> None:
-        if min(self.max_k, self.max_iterations, self.max_word_length) < 1:
+    def __init__(self, max_k: int = 4, max_iterations: int = 200, max_word_length: int = 64):
+        if min(max_k, max_iterations, max_word_length) < 1:
             raise ValueError("learner bounds must be positive")
+        super().__init__(max_k, max_iterations, max_word_length)
 
 
 class ObservationTable:

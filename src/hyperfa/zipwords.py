@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import IllegalZipWord, IndexOutOfRange, InvalidArity, ResourceLimit
@@ -54,21 +53,69 @@ def word_text(word: Word, multichar: bool = False) -> str:
     return sep.join(word)
 
 
-@dataclass(frozen=True)
-class ZipWord:
+class _Record:
+    """Immutable value record whose fields are its class's __slots__.
+
+    Records of the same class are equal when their fields are; the hash,
+    the repr (``Name(field=value, ...)``), pickling and copying all go
+    through the field tuple ``_key()``.  A subclass without its own
+    __init__ takes its fields positionally.  The records built on hot paths
+    set their fields in their own __init__ with object.__setattr__, and the
+    ones compared or hashed there define _key too: both are faster than the
+    generic loops over __slots__.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class ZipWord(_Record):
     """Immutable word over k-tuples of symbols (k = arity, possibly 0)."""
 
-    arity: int
-    letters: tuple[Letter, ...]
+    __slots__ = ("arity", "letters")
 
-    def __post_init__(self) -> None:
-        if self.arity < 0:
+    def __init__(self, arity: int, letters: tuple[Letter, ...]) -> None:
+        if arity < 0:
             raise InvalidArity("arity must be >= 0")
-        for letter in self.letters:
-            if len(letter) != self.arity:
+        for letter in letters:
+            if len(letter) != arity:
                 raise InvalidArity(
-                    f"letter {letter!r} has arity {len(letter)}, expected {self.arity}"
+                    f"letter {letter!r} has arity {len(letter)}, expected {arity}"
                 )
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "letters", letters)
+
+    def _key(self) -> tuple:
+        return (self.arity, self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -83,17 +130,20 @@ class ZipWord:
         return tuple(l[i - 1] for l in self.letters if l[i - 1] != PAD)
 
 
-@dataclass(frozen=True)
-class IndexSequence:
+class IndexSequence(_Record):
     """Length-k sequence of 1-based track indices in [1..k]."""
 
-    indices: tuple[int, ...]
+    __slots__ = ("indices",)
 
-    def __post_init__(self) -> None:
-        k = len(self.indices)
-        for i in self.indices:
+    def __init__(self, indices: tuple[int, ...]) -> None:
+        k = len(indices)
+        for i in indices:
             if not 1 <= i <= k:
                 raise IndexOutOfRange(f"index {i} outside [1..{k}]")
+        object.__setattr__(self, "indices", indices)
+
+    def _key(self) -> tuple:
+        return (self.indices,)
 
     @property
     def is_permutation(self) -> bool:

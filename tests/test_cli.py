@@ -522,22 +522,25 @@ def test_module_entry_point_writes_nothing_to_stderr():
 
 def loaded_modules(setup, runs=()):
     """The package's modules loaded in a fresh interpreter by setup and
-    cli main on each argument list; every run must exit 0 or 1."""
+    cli main on each argument list (every run must exit 0 or 1), and the
+    other modules that setup and the runs newly imported."""
     script = "\n".join([
-        "import contextlib, io, json, sys",
+        # site hooks may load modules before the script starts: not counted
+        "import sys; started = set(sys.modules)",
+        "import contextlib, io, json",
         setup,
         "codes = []",
         f"for args in {list(runs)!r}:",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        codes.append(main(args))",
-        # only the package's own modules: site hooks may load stdlib ones
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('hyperfa'))]))",
+        "print(json.dumps([codes, sorted(set(sys.modules) - started)]))",
     ])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    codes, modules = json.loads(done.stdout)
+    codes, new = json.loads(done.stdout)
     assert all(code in (0, 1) for code in codes), (runs, codes)
-    return set(modules)
+    ours = {m for m in new if m.startswith("hyperfa")}
+    return ours, set(new) - ours
 
 
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, capsys):
@@ -549,12 +552,18 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, capsys):
     cli = "from hyperfa.cli import main"
     kernel = {"hyperfa", "hyperfa.cli", "hyperfa.errors", "hyperfa.fa", "hyperfa.hfa",
               "hyperfa.zipwords"}
-    assert loaded_modules("import hyperfa") == {"hyperfa"}
     decisions = [["dot", policy], ["member", policy, hw], ["empty", pair],
                  ["contains", pair, policy], ["equiv", policy, policy], ["gen-ham", edges]]
-    assert loaded_modules(cli, decisions) == kernel
-    assert loaded_modules(cli, [["compile", source]]) == kernel | {"hyperfa.hre"}
-    assert loaded_modules(cli, [["canon", policy]]) == kernel | {"hyperfa.canon"}
+    for setup, runs, expected in [
+        ("import hyperfa", [], {"hyperfa"}),
+        (cli, decisions, kernel),
+        (cli, [["compile", source]], kernel | {"hyperfa.hre"}),
+        (cli, [["canon", policy]], kernel | {"hyperfa.canon"}),
+    ]:
+        ours, others = loaded_modules(setup, runs)
+        assert ours == expected, runs
+        # the package's records need neither dataclasses nor what it imports
+        assert not others & {"dataclasses", "inspect"}, (runs, others)
 
 
 # ------------------------------------------------- corpus: CLI == library
