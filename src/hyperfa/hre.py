@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 import re
+from collections import namedtuple
 from typing import Iterable, Iterator, Mapping, Union as TUnion
 
 from .errors import ArityMismatch, HreSyntaxError, UnknownSymbol
@@ -98,13 +99,9 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)+")
 
 
-class _Token(_Record):
-    __slots__ = ("kind", "text", "pos")  # kind: NAME, the punctuation character or EOF
-
-    def __init__(self, kind: str, text: str, pos: int) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "pos", pos)
+# kind: NAME, the punctuation character or EOF.  A tuple, not a _Record:
+# one is built per token, and a tuple builds fastest.
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -136,6 +136,45 @@ def test_member_search_runs_past_the_cutover(monkeypatch):
     assert calls == [(A, E, E)]
 
 
+def test_memoized_member_matches_brute_force_in_any_order():
+    family = random_instances(10, 97, max_k=3, max_states=4)
+    # no initial state; state 1 is reachable and has no out-edges
+    family.append(hfa.make_nfh("ab", (A, E), 2, [], [0, 1], [(0, ("a", "b"), 1)]))
+    dead_end = hfa.make_nfh("ab", (E,), 2, [0], [1], [(0, ("a",), 1), (0, ("b",), 0)])
+    family.append(dead_end)
+    assert {len(set(map(len, s.words))) for s in SWEEP} == {1, 2, 3}  # mixed widths
+    rng = random.Random(7)
+    for nfh in family:
+        want = [oracles.brute_member(nfh, s.words) for s in SWEEP]
+        for _ in range(2):  # the second pass reads the tables the first one built
+            order = list(range(len(SWEEP)))
+            rng.shuffle(order)
+            for i in order:
+                assert hfa.member(nfh, SWEEP[i]) == want[i], (nfh.prefix, SWEEP[i])
+    assert dead_end.underlying._tables[frozenset({1})] == {}
+    assert family[-2].underlying._tables == {frozenset(): {}}
+
+
+def test_only_enumerated_member_fills_the_subset_memo():
+    rng = random.Random(13)
+    nfh = oracles.random_nfh(rng, max_k=2, max_states=4, prefix_pool=(A,))
+    fa = nfh.underlying
+    lang = oracles.trie_fa([("a",), ("a", "b")], "ab")
+    fa.determinize(), fa.minimize(), fa.complement(), fa.contains(fa)
+    hfa.contains(nfh, nfh)
+    hfa.regular_member(lang, nfh)
+    wide = oracles.random_nfh(rng, fixed_prefix=(A, E, E))
+    words = [(), ("a",), ("b",)] + list(itertools.product("ab", repeat=4))
+    hfa.member(wide, Hyperword.of(words))  # 19^2 assignments: past the cutover
+    for automaton in (fa, lang, wide.underlying):
+        assert "_tables" not in automaton.__dict__
+    sweep = SWEEP[::5]
+    first = [hfa.member(nfh, s) for s in sweep]
+    tables = dict(fa._tables)
+    assert tables and [hfa.member(nfh, s) for s in sweep] == first
+    assert fa._tables == tables
+
+
 # ------------------------------------------------------------- Boolean ops
 
 def test_complement_of_universal_rejects_everything():
