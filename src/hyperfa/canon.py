@@ -50,13 +50,17 @@ def sequence_remap(fa: Fa, seq: Sequence[int], alphabet: Sequence[Letter]) -> Fa
 def selection_closure(nfh: Nfh, seqs: Iterable[Sequence[int]]) -> Fa:
     """Minimal DFA over k-tuples: the union (existential acceptor) or the
     intersection (otherwise) of the selections of the pad-normalized
-    underlying automaton through each 1-based track sequence in seqs."""
+    underlying automaton through each 1-based track sequence in seqs.
+    Each step folds the next selection into the previous minimal DFA less
+    its dead sink, which would otherwise pair with every state of the
+    selection; minimize is canonical, so the result is unchanged."""
     base = pad_normalize(nfh.underlying, nfh.k)
     use_union = nfh.fragment is Fragment.EXISTS_ONLY
     result: Optional[Fa] = None
     for seq in seqs:
         piece = sequence_remap(base, seq, nfh.underlying.alphabet)
         if result is not None:
+            result = result.trim()
             piece = result.union(piece) if use_union else result.intersect(piece)
         result = piece.minimize()
     assert result is not None

@@ -24,7 +24,8 @@ class Fa:
     """Nondeterministic finite automaton with value semantics (never mutated).
 
     Its language never changes; the only state it gains is caches of its
-    own transitions, among them _tables, the subset memo of hfa.member.
+    own transitions, among them _live, its states with a path to an
+    accepting state, and _tables, the subset memo of hfa.member.
     """
 
     def __init__(
@@ -87,6 +88,11 @@ class Fa:
         for q, a, r in self.transitions:
             out.setdefault(q, []).append((a, r))
         return out
+
+    @cached_property
+    def _live(self) -> frozenset[int]:
+        """States with a path to an accepting state: the co-accessible part."""
+        return coreachable(self)
 
     @cached_property
     def _tables(self) -> dict[frozenset[int], dict[LetterT, frozenset[int]]]:
@@ -153,6 +159,17 @@ class Fa:
                 trans.append((sid, letter, nid))
         accepting = [sid for sid, subset in enumerate(order) if subset & self.accepting]
         return Fa._sorted(self.alphabet, len(order), [0], accepting, trans)
+
+    def trim(self) -> "Fa":
+        """The same language on the live states only, renumbered in order;
+        it has no state at all when the language is empty."""
+        live = self._live
+        if len(live) == self.n_states:
+            return self
+        ids = {q: i for i, q in enumerate(sorted(live))}  # ascending, so sorted stays sorted
+        trans = [(ids[q], a, ids[r]) for q, a, r in self.transitions if q in ids and r in ids]
+        return Fa._sorted(self.alphabet, len(ids), [ids[q] for q in self.initial if q in ids],
+                          [ids[q] for q in self.accepting], trans)
 
     def complement(self) -> "Fa":
         det = self.determinize()
@@ -308,6 +325,22 @@ class Fa:
             f"Fa(states={self.n_states}, letters={self.alphabet.__len__()}, "
             f"transitions={len(self.transitions)})"
         )
+
+
+def coreachable(fa: Fa, only: Optional[LetterT] = None) -> frozenset[int]:
+    """States of fa with a path to an accepting state, over only-edges if given."""
+    rev: dict[int, list[int]] = {}
+    for q, a, r in fa.transitions:
+        if only is None or a == only:
+            rev.setdefault(r, []).append(q)
+    closure = set(fa.accepting)
+    frontier = list(closure)
+    while frontier:
+        for q in rev.get(frontier.pop(), ()):
+            if q not in closure:
+                closure.add(q)
+                frontier.append(q)
+    return frozenset(closure)
 
 
 def subset_moves(out: dict[int, list[tuple[LetterT, int]]],

@@ -34,7 +34,7 @@ from .errors import (
     Unsupported,
     WrongFragment,
 )
-from .fa import Fa, reachable_product, subset_moves
+from .fa import Fa, coreachable, reachable_product, subset_moves
 from .zipwords import (
     MAX_LETTERS,
     PAD,
@@ -168,25 +168,9 @@ def pad_normalize(fa: Fa, arity: int) -> Fa:
     return Fa._sorted(fa.alphabet, tail + 1, fa.initial, fa.accepting | {tail}, sorted(trans))
 
 
-def _coreachable(fa: Fa, only: Optional[Letter] = None) -> set[int]:
-    """States with a path to an accepting state, over only-edges if given."""
-    rev: dict[int, set[int]] = {}
-    for q, a, r in fa.transitions:
-        if only is None or a == only:
-            rev.setdefault(r, set()).add(q)
-    closure = set(fa.accepting)
-    frontier = list(closure)
-    while frontier:
-        for q in rev.get(frontier.pop(), ()):
-            if q not in closure:
-                closure.add(q)
-                frontier.append(q)
-    return closure
-
-
 def pad_accept(fa: Fa, arity: int) -> Fa:
     """Accept w whenever some w . pads^j is accepted (no new states)."""
-    return Fa._sorted(fa.alphabet, fa.n_states, fa.initial, _coreachable(fa, (PAD,) * arity),
+    return Fa._sorted(fa.alphabet, fa.n_states, fa.initial, coreachable(fa, (PAD,) * arity),
                       fa.transitions)
 
 
@@ -202,15 +186,18 @@ MEMBER_SEARCH_CUTOVER = 256
 def member(nfh: Nfh, hw: Hyperword) -> bool:
     """Evaluate the quantifier prefix over hw with short-circuiting.
 
-    Queries with at most MEMBER_SEARCH_CUTOVER assignments of the innermost
-    quantifier block enumerate every assignment; larger ones go to
-    _search_member.
+    An acceptor whose initial states reach no accepting state rejects at
+    once.  Otherwise queries with at most MEMBER_SEARCH_CUTOVER assignments
+    of the innermost quantifier block enumerate every assignment; larger
+    ones go to _search_member.
     """
     for w in hw.words:
         for sym in w:
             if sym not in nfh.sigma:
                 raise AlphabetMismatch(f"hyperword symbol {sym!r} outside sigma")
     underlying = nfh.underlying
+    if underlying._live.isdisjoint(underlying.initial):
+        return False  # no run accepts, and hw has a word for every quantifier
     words = hw.words
     prefix = nfh.prefix
     k = nfh.k
@@ -556,7 +543,7 @@ def regular_member(lang: Fa, nfh: Nfh, max_k: int = DEFAULT_MAX_K) -> bool:
     """
     if tuple(sorted(lang.alphabet)) != nfh.sigma:
         raise AlphabetMismatch("regular language and acceptor declare different alphabets")
-    live = _coreachable(lang)  # trims lang: the tracks hold only live states
+    live = lang._live  # trims lang: the tracks hold only live states
     if live.isdisjoint(lang.initial):
         raise EmptyRegularLanguage("membership of the empty language is undefined")
     _require_cap(nfh.k, max_k)

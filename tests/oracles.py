@@ -137,6 +137,18 @@ def minimal_state_count(fa: Fa) -> int:
     return sum(1 for p in range(n) if all((p, q) in apart for q in range(p)))
 
 
+def coreachable(transitions: Iterable[tuple], accepting: Iterable[int]) -> set[int]:
+    """States with a path to an accepting state: rescan the transition list
+    for a new predecessor until none appears."""
+    live = set(accepting)
+    grown = True
+    while grown:
+        before = len(live)
+        live |= {q for (q, _letter, r) in transitions if r in live}
+        grown = len(live) > before
+    return live
+
+
 def fa_shape(fa: Fa) -> tuple:
     """Everything that distinguishes two automata over the same alphabet."""
     return fa.n_states, fa.initial, fa.accepting, fa.transitions

@@ -91,6 +91,39 @@ def test_closure_preserves_member_on_sweep():
             assert hfa.member(closed, s) == hfa.member(nfh, s)
 
 
+def untrimmed_closure(nfh, seqs):
+    """selection_closure folded on each step's whole minimal DFA, dead sink
+    included."""
+    base = pad_normalize(nfh.underlying, nfh.k)
+    result = None
+    for seq in seqs:
+        piece = canon.sequence_remap(base, seq, nfh.underlying.alphabet)
+        if result is not None:
+            piece = result.union(piece) if nfh.prefix[0] is E else result.intersect(piece)
+        result = piece.minimize()
+    return result
+
+
+def test_closures_equal_the_untrimmed_fold():
+    rng = random.Random(43)
+    empty_steps = 0
+    for i in range(60):
+        quantifier = (A, E)[i % 2]
+        nfh = oracles.random_nfh(rng, max_k=3, max_states=2, prefix_pool=(quantifier,),
+                                 density=(0.1, 0.2, 0.3)[i % 3])
+        if i % 5 == 4:  # no accepting state: every step has zero live states
+            u = nfh.underlying
+            nfh = hfa.Nfh(nfh.sigma, nfh.prefix, Fa(u.alphabet, u.n_states, u.initial, (),
+                                                     u.transitions))
+        k = nfh.k
+        seqs = (list(itertools.product(range(1, k + 1), repeat=k)) if quantifier is A
+                else list(itertools.permutations(range(1, k + 1))))
+        want = untrimmed_closure(nfh, seqs)
+        empty_steps += want.accepting == frozenset()
+        assert oracles.fa_shape(canon.selection_closure(nfh, seqs)) == oracles.fa_shape(want)
+    assert empty_steps >= 12
+
+
 def test_closure_wrong_fragment():
     with pytest.raises(WrongFragment):
         canon.sequence_closure(only_ab_nfh((E, E)))

@@ -93,6 +93,17 @@ def test_member_rejects_foreign_symbols(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_member_of_a_dead_acceptor(tmp_path, capsys):
+    # state 1 accepts, but the initial state 0 has no path to it
+    text = "nfh k=2 sigma=a,b prefix=AE\nstate 0 init\nstate 1 accept\n"
+    text += "trans 0 (a,b) 0\ntrans 1 (a,b) 0\n"
+    nfh = write(tmp_path / "dead.nfh", text)
+    code, out, _ = run_cli(["member", nfh, write(tmp_path / "s.hw", "a\nab\n")], capsys)
+    assert (code, out) == (1, "false\n")
+    code, out, err = run_cli(["member", nfh, write(tmp_path / "c.hw", "a\nc\n")], capsys)
+    assert (code, out) == (2, "") and err.startswith("error:") and "Traceback" not in err
+
+
 def test_member_long_word_past_the_cutover(tmp_path, capsys):
     # for all x1, x2: one word is a prefix of the other; 17 words make
     # 17^2 assignments, so the block is searched along a 2,000-letter zip

@@ -337,6 +337,25 @@ def test_determinize_matches_subset_oracle():
     assert oracles.fa_shape(pairs.determinize()) == oracles.subset_dfa(pairs)
 
 
+def test_live_states_match_the_rescanning_oracle():
+    rng = random.Random(41)
+    dead = 0
+    for i in range(300):
+        letters = all_letters("ab", 2) if i % 4 == 3 else "abc"[: 1 + i % 3]
+        a = random_fa(rng, rng.randint(1, 7), letters, (0.05, 0.15, 0.3)[i % 3])
+        assert a._live == oracles.coreachable(a.transitions, a.accepting)
+        dead += len(a._live) < a.n_states
+        trimmed = a.trim()
+        assert trimmed.n_states == len(a._live)
+        assert trimmed._live == frozenset(range(trimmed.n_states))
+        for w in words_upto(list(a.alphabet), 2 if i % 4 == 3 else 4):
+            assert trimmed.accepts(w) == a.accepts(w)
+    assert dead >= 100
+    for i in range(50):
+        fa = oracles.random_nfh(rng, max_k=3, max_states=4).underlying
+        assert fa._live == oracles.coreachable(fa.transitions, fa.accepting)
+
+
 def assert_equals_checked(out):
     """The checked constructor gives an equal automaton from out's parts."""
     checked = Fa(out.alphabet, out.n_states, out.initial, out.accepting, out.transitions)
@@ -348,7 +367,7 @@ def assert_equals_checked(out):
 
 
 def test_unchecked_results_equal_checked_construction():
-    # the subset constructions, products, union, tuple-alphabet remaps,
+    # the subset constructions, products, union, trim, tuple-alphabet remaps,
     # pad_normalize, pad_accept and zip_filter_fa build their results unchecked
     rng = random.Random(19)
     pairs = all_letters("ab", 2)
@@ -359,7 +378,7 @@ def test_unchecked_results_equal_checked_construction():
                 for _ in range(2))
         product = a.intersect(b)
         several_targets += any(len(targets) > 1 for targets in product._step.values())
-        outs = [a.determinize(), a.complement(), a.minimize(), product, a.union(b)]
+        outs = [a.determinize(), a.complement(), a.minimize(), product, a.union(b), a.trim()]
         if letters is pairs:
             outs += [a.remap_letters(lambda l: (l[1], l[0]), pairs),
                      hfa.pad_normalize(a, 2), hfa.pad_accept(a, 2)]

@@ -106,6 +106,7 @@ def test_member_search_matches_brute_force_on_every_prefix(monkeypatch):
     rng = random.Random(61)
     nonempty = oracles.all_words("ab", 4)[1:]
     verdicts = {}
+    dead = 0  # queries of acceptors whose initial states are dead, which are never searched
     for k in (1, 2, 3, 4):
         for prefix in itertools.product((A, E), repeat=k):
             for _ in range(3):
@@ -115,6 +116,8 @@ def test_member_search_matches_brute_force_on_every_prefix(monkeypatch):
                 # the dual acceptor turns the rare false verdicts of purely
                 # existential acceptors into true verdicts of universal ones
                 for acc in (nfh, hfa.complement(nfh)):
+                    u = acc.underlying
+                    dead += 3 * oracles.coreachable(u.transitions, u.accepting).isdisjoint(u.initial)
                     for _ in range(3):
                         words = [()] + rng.sample(nonempty, rng.randint(3, 6))
                         got = hfa.member(acc, Hyperword.of(words))
@@ -122,7 +125,7 @@ def test_member_search_matches_brute_force_on_every_prefix(monkeypatch):
                         kinds = set(acc.prefix)
                         shape = "A" if kinds == {A} else "E" if kinds == {E} else "AE"
                         verdicts.setdefault(shape, set()).add(got)
-    assert len(calls) == (2 + 4 + 8 + 16) * 3 * 2 * 3
+    assert len(calls) == (2 + 4 + 8 + 16) * 3 * 2 * 3 - dead and dead > 0
     assert verdicts == {"A": {False, True}, "E": {False, True}, "AE": {False, True}}
 
 
@@ -152,7 +155,7 @@ def test_memoized_member_matches_brute_force_in_any_order():
             for i in order:
                 assert hfa.member(nfh, SWEEP[i]) == want[i], (nfh.prefix, SWEEP[i])
     assert dead_end.underlying._tables[frozenset({1})] == {}
-    assert family[-2].underlying._tables == {frozenset(): {}}
+    assert "_tables" not in family[-2].underlying.__dict__
 
 
 def test_only_enumerated_member_fills_the_subset_memo():
@@ -169,10 +172,46 @@ def test_only_enumerated_member_fills_the_subset_memo():
     for automaton in (fa, lang, wide.underlying):
         assert "_tables" not in automaton.__dict__
     sweep = SWEEP[::5]
-    first = [hfa.member(nfh, s) for s in sweep]
-    tables = dict(fa._tables)
-    assert tables and [hfa.member(nfh, s) for s in sweep] == first
-    assert fa._tables == tables
+    assert not fa.accepting and not any(hfa.member(nfh, s) for s in sweep)
+    assert "_tables" not in fa.__dict__  # a dead acceptor enumerates nothing
+    live = a1_nfh()
+    assert not live.underlying._live.isdisjoint(live.underlying.initial)
+    first = [hfa.member(live, s) for s in sweep]
+    tables = dict(live.underlying._tables)
+    assert tables and [hfa.member(live, s) for s in sweep] == first
+    assert live.underlying._tables == tables
+
+
+def dead_acceptors(prefix):
+    """Acceptors whose initial states reach no accepting state: one without
+    accepting states, one whose accepting state 2 is unreachable from its
+    initial state 0, and one without initial states."""
+    letters = all_letters("ab", len(prefix))
+    loops = [(q, l, r) for l in letters for q, r in ((0, 0), (0, 1))]
+    return [
+        hfa.make_nfh("ab", prefix, 2, [0], [], loops),
+        hfa.make_nfh("ab", prefix, 3, [0], [2], loops + [(2, l, 0) for l in letters]),
+        hfa.make_nfh("ab", prefix, 2, [], [0, 1], loops),
+    ]
+
+
+def test_dead_acceptors_reject_without_enumerating(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    prefixes = [p for k in (1, 2, 3) for p in itertools.product((A, E), repeat=k)]
+    assert len(prefixes) == 14
+    for prefix in prefixes:
+        for nfh in dead_acceptors(prefix):
+            for s in SWEEP:
+                want = oracles.brute_member(nfh, s.words)
+                assert want is False and hfa.member(nfh, s) == want
+            with pytest.raises(AlphabetMismatch):
+                hfa.member(nfh, hw("ab", "c"))
+            assert "_tables" not in nfh.underlying.__dict__
+    wide = dead_acceptors((A, E, E))[1]
+    words = [(), ("a",), ("b",)] + list(itertools.product("ab", repeat=4))
+    assert len(words) ** 2 > hfa.MEMBER_SEARCH_CUTOVER
+    assert hfa.member(wide, Hyperword.of(words)) == oracles.brute_member(wide, words)
+    assert calls == [] and "_tables" not in wide.underlying.__dict__
 
 
 # ------------------------------------------------------------- Boolean ops
