@@ -31,11 +31,13 @@ from .hfa import (
     format_hyperword,
     format_nfh,
     gen_hamiltonian,
+    is_ascii_number,
     member,
     nonempty_exists_forall,
     parse_hyperword,
     parse_nfh,
 )
+from .zipwords import MAX_LETTERS
 
 
 def _read(path: str) -> str:
@@ -62,7 +64,7 @@ def _load_nfh(path: str) -> Nfh:
 
 
 def _positive_int(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
+    if not is_ascii_number(text.strip()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
     return int(text)
 
@@ -158,13 +160,19 @@ def cmd_learn(args: argparse.Namespace) -> int:
 def _parse_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
     edges = []
     top = 0
+    digits = len(str(MAX_LETTERS))
     for lineno, line in enumerate(text.split("\n"), 1):
         bare = line.split("//")[0].strip()
         if not bare:
             continue
         parts = bare.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(map(is_ascii_number, parts)):
             raise FormatError(f"bad edge on line {lineno}: {line!r}")
+        # sized before int(), which rejects strings of over 4,300 digits:
+        # a vertex id with more digits than MAX_LETTERS has n^2 above it
+        if max(len(p.lstrip("0")) for p in parts) > digits:
+            raise ResourceLimit(f"a vertex id on line {lineno} of over {digits} digits makes "
+                                f"n^2 indicator symbols exceed the cap of {MAX_LETTERS}")
         u, v = int(parts[0]), int(parts[1])
         edges.append((u, v))
         top = max(top, u, v)

@@ -9,15 +9,39 @@ constructions that visit every letter.  No epsilon transitions anywhere.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from collections import deque
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable, Hashable, Iterable, Optional
 
 from .errors import AlphabetMismatch, InvalidArity, UnknownLetter
 from .zipwords import TupleAlphabet
 
 LetterT = Hashable
+
+
+def _paused_gc(build):
+    """Run build with the cyclic collector paused, as Mercurial's util.nogc.
+
+    The constructions it wraps build only acyclic containers (tuples,
+    frozensets, lists and dicts of states and letters), so reference
+    counting frees every temporary and a pass could find nothing to free.
+    Passes are still triggered by allocation counts, and a full one scans
+    the caller's whole heap, not only what the construction built.  The
+    collector is re-enabled only if it was enabled on entry, so a nested
+    call, or a caller who disabled it, is left as found.
+    """
+    @wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 class Fa:
@@ -139,6 +163,7 @@ class Fa:
 
     # ------------------------------------------------- subset constructions
 
+    @_paused_gc
     def determinize(self) -> "Fa":
         """Complete DFA via subset construction (state 0 = initial subset)."""
         start = self.initial
@@ -151,13 +176,15 @@ class Fa:
             # the subset's out-edges once, then every letter for completeness
             moves = subset_moves(out, subset)
             for letter in self.alphabet:
-                nxt = frozenset(moves[letter]) if letter in moves else empty
+                targets = moves.get(letter)
+                nxt = empty if targets is None else frozenset(targets)
                 nid = ids.get(nxt)
                 if nid is None:
                     nid = ids[nxt] = len(order)
                     order.append(nxt)
                 trans.append((sid, letter, nid))
-        accepting = [sid for sid, subset in enumerate(order) if subset & self.accepting]
+        accepting = [sid for sid, subset in enumerate(order)
+                     if not self.accepting.isdisjoint(subset)]
         return Fa._sorted(self.alphabet, len(order), [0], accepting, trans)
 
     def trim(self) -> "Fa":
@@ -176,6 +203,7 @@ class Fa:
         accepting = set(range(det.n_states)) - set(det.accepting)
         return Fa._sorted(det.alphabet, det.n_states, det.initial, accepting, det.transitions)
 
+    @_paused_gc
     def minimize(self) -> "Fa":
         """Determinize, then merge Myhill-Nerode-equivalent states by Moore
         refinement; blocks are numbered in BFS order from the initial block,
@@ -361,6 +389,7 @@ def subset_moves(out: dict[int, list[tuple[LetterT, int]]],
     return moves
 
 
+@_paused_gc
 def reachable_product(
     a: Fa,
     b: Fa,

@@ -661,7 +661,13 @@ def gen_hamiltonian(n: int, edges: Iterable[tuple[int, int]]) -> tuple[Nfh, Hype
 # ------------------------------------------------------------- wire formats
 
 
-_HEADER_RE = re.compile(r"nfh k=(\d+) sigma=(\S+) prefix=([AE]+)\Z")
+_HEADER_RE = re.compile(r"nfh k=([0-9]+) sigma=(\S+) prefix=([AE]+)\Z")
+
+
+def is_ascii_number(text: str) -> bool:
+    """Whether text is a run of ASCII digits: str.isdigit also accepts '²'
+    and '٣', which int() rejects or reads as 3."""
+    return text.isascii() and text.isdigit()
 
 
 def format_nfh(nfh: Nfh) -> str:
@@ -690,11 +696,21 @@ def parse_nfh(text: str) -> Nfh:
     header = _HEADER_RE.match(lines[0])
     if not header:
         raise FormatError(f"bad header line {lines[0]!r}")
-    k = int(header.group(1))
     sigma = tuple(header.group(2).split(","))
     prefix = tuple(Quantifier(c) for c in header.group(3))
-    if len(prefix) != k:
+    k = len(prefix)
+    if header.group(1).lstrip("0") != str(k):
         raise FormatError("prefix length disagrees with k")
+    bound = 2 * (len(lines) - 1)
+
+    def state_id(number: str) -> int:
+        # sized before int(), which rejects strings of over 4,300 digits
+        q = int(number) if len(number.lstrip("0")) <= len(str(bound)) else bound
+        if q >= bound:
+            raise FormatError(f"state id {number.lstrip('0')} is not below {bound}, "
+                              "twice the number of state and transition lines")
+        return q
+
     n_states = 0
     initial: list[int] = []
     accepting: list[int] = []
@@ -702,9 +718,9 @@ def parse_nfh(text: str) -> Nfh:
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "state":
-            if len(parts) < 2 or not parts[1].isdigit():
+            if len(parts) < 2 or not is_ascii_number(parts[1]):
                 raise FormatError(f"bad state line {ln!r}")
-            q = int(parts[1])
+            q = state_id(parts[1])
             n_states = max(n_states, q + 1)
             for flag in parts[2:]:
                 if flag == "init":
@@ -714,22 +730,18 @@ def parse_nfh(text: str) -> Nfh:
                 else:
                     raise FormatError(f"unknown state flag {flag!r}")
         elif parts[0] == "trans":
-            if len(parts) != 4 or not (parts[1].isdigit() and parts[3].isdigit()):
+            if len(parts) != 4 or not (is_ascii_number(parts[1]) and is_ascii_number(parts[3])):
                 raise FormatError(f"bad transition line {ln!r}")
             if not (parts[2].startswith("(") and parts[2].endswith(")")):
                 raise FormatError(f"bad letter in {ln!r}")
             letter = tuple(parts[2][1:-1].split(","))
             if len(letter) != k:
                 raise FormatError(f"letter arity mismatch in {ln!r}")
-            q, r = int(parts[1]), int(parts[3])
+            q, r = state_id(parts[1]), state_id(parts[3])
             n_states = max(n_states, q + 1, r + 1)
             transitions.append((q, letter, r))
         else:
             raise FormatError(f"unknown directive {parts[0]!r}")
-    bound = 2 * (len(lines) - 1)
-    if n_states > bound:
-        raise FormatError(f"state id {n_states - 1} is not below {bound}, "
-                          "twice the number of state and transition lines")
     try:
         return make_nfh(sigma, prefix, n_states, initial, accepting, transitions)
     except (AlphabetMismatch, InvalidArity) as exc:

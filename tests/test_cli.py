@@ -192,18 +192,31 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert run_cli(["compile", badhre], capsys)[0] == 2
 
 
+LONG_ID = "7" * 5000
+
+
 @pytest.mark.parametrize("text, message", [
     ("nfh k=1 sigma=a prefix=A\nstate x\n", "bad state line"),
     ("nfh k=1 sigma=a prefix=A\nstate 0 final\n", "unknown state flag"),
     ("nfh k=1 sigma=a prefix=A\nstate 0 init\ntrans 0 (a)\n", "bad transition line"),
     ("nfh k=1 sigma=a prefix=A\nstate 0 init\ntrans 0 a 0\n", "bad letter"),
     ("nfh k=1 sigma=# prefix=A\nstate 0 init accept\n", "reserved for padding"),
+    # str.isdigit accepts these; int() rejects the superscripts, reads \u0663 as 3
+    # and rejects strings of over 4,300 digits
+    ("nfh k=1 sigma=a prefix=A\nstate \u00b2 init accept\n", "bad state line"),
+    ("nfh k=1 sigma=a prefix=A\nstate 0 init\ntrans 0 (a) \u00b9\n", "bad transition line"),
+    pytest.param(f"nfh k=1 sigma=a prefix=A\nstate {LONG_ID} init accept\n",
+                 "is not below 2", id="long-state-id"),
+    pytest.param(f"nfh k={LONG_ID} sigma=a prefix=A\nstate 0 init accept\n",
+                 "prefix length disagrees", id="long-k"),
+    ("nfh k=\u0663 sigma=a prefix=AAA\nstate 0 init accept\n", "bad header line"),
 ])
 def test_malformed_acceptor_lines_are_format_errors(tmp_path, capsys, text, message):
     with pytest.raises(FormatError, match=message):
         parse_nfh(text)
     code, out, err = run_cli(["dot", write(tmp_path / "bad.nfh", text)], capsys)
-    assert (code, out) == (2, "") and message in err and "Traceback" not in err
+    assert (code, out) == (2, "") and err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("state_line", ["state 1000000", "state 30000000 init accept"])
@@ -381,6 +394,20 @@ def test_gen_ham_caps_the_instance_size_before_building(tmp_path, capsys):
     assert run_cli(["gen-ham", near, "-o", str(tmp_path / "near.nfh")], capsys) == (0, "", "")
 
 
+@pytest.mark.parametrize("text, want", [
+    ("1 2\n2 \u00b2\n", 2),  # superscript two: isdigit, but not int()
+    ("1 2\n2 \u0663\n", 2),  # Arabic-Indic three: int() reads it as 3
+    pytest.param(f"1 2\n1 {LONG_ID}\n", 4, id="long-id"),
+    ("1 2\n1 99999999\n", 4),
+])
+def test_gen_ham_rejects_bad_numbers_without_a_traceback(tmp_path, capsys, text, want):
+    code, out, err = run_cli(["gen-ham", write(tmp_path / "g.edges", text)], capsys)
+    assert (code, out) == (want, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    if want == 4:
+        assert "indicator symbols exceed the cap of 500000" in err
+
+
 # --------------------------------------------------------------------- dot
 
 def test_dot_output(tmp_path, capsys):
@@ -495,7 +522,7 @@ def test_learn_variable_cap_below_one_is_a_usage_error(tmp_path, capsys, command
     path = compile_to(tmp_path, "a1", A1_TEXT, capsys)
     args = {"contains": [path, path], "equiv": [path, path],
             "learn": ["--target", path, "--fragment", "forall"]}.get(command, [path])
-    for bad in ("0", "-1", "x"):
+    for bad in ("0", "-1", "x", "\u0663"):  # int() reads Arabic-Indic \u0663 as 3
         with pytest.raises(SystemExit) as exc:
             cli_main([command, *args, "--max-k", bad])
         captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import time
@@ -6,7 +7,7 @@ import pytest
 
 from hyperfa import canon, hfa
 from hyperfa.errors import AlphabetMismatch, InvalidArity, UnknownLetter
-from hyperfa.fa import Fa
+from hyperfa.fa import Fa, reachable_product
 from hyperfa.zipwords import PAD, all_letters
 
 import oracles
@@ -452,6 +453,37 @@ def test_public_constructors_validate(error, changed):
         Fa(all_letters("ab", 2), **parts)
     with pytest.raises(error):
         hfa.make_nfh("ab", (hfa.Quantifier.EXISTS, hfa.Quantifier.FORALL), **parts)
+
+
+def test_constructions_pause_the_collector_and_restore_it():
+    a, b = fa_astar_b(), fa_abstar()
+    seen = []
+
+    def moves(q, p):
+        seen.append(gc.isenabled())
+        return [(x, q2, p2) for _q, x, q2 in a._edges(q) for _p, y, p2 in b._edges(p) if x == y]
+
+    assert reachable_product(a, b, a.alphabet, moves).n_states == 3
+    assert seen and not any(seen)
+    nfh = hfa.Nfh("ab", (E,), Fa._sorted(all_letters("ab", 1), 2, [0], [1], [(0, ("a",), 1)]))
+    for build in (a.determinize, a.minimize, a.complement, lambda: a.intersect(b),
+                  lambda: hfa.intersect(nfh, nfh)):
+        build()
+        assert gc.isenabled()
+    # a caller's own pause is left as found
+    gc.disable()
+    try:
+        a.minimize(), a.intersect(b)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+    def broken(q, p):
+        raise RuntimeError("moves failed")
+
+    with pytest.raises(RuntimeError, match="moves failed"):
+        reachable_product(a, b, a.alphabet, broken)
+    assert gc.isenabled()
 
 
 def test_dot_export_mentions_all_parts():

@@ -948,6 +948,13 @@ def test_parse_nfh_rejects_malformed():
         hfa.parse_nfh("nfh k=1 sigma=a prefix=A\nstate 0 init accept\ntrans 0 (a,b) 0\n")
     with pytest.raises(FormatError):
         hfa.parse_nfh("nfh k=1 sigma=a prefix=A\nbogus 0\n")
+    # str.isdigit accepts superscripts, and int() rejects them and strings of
+    # over 4,300 digits; leading zeros still read as the number they pad
+    for number in ("\u00b2", "7" * 5000):
+        with pytest.raises(FormatError):
+            hfa.parse_nfh(f"nfh k=1 sigma=a prefix=A\nstate 0 init\ntrans {number} (a) 0\n")
+    nfh = hfa.parse_nfh("nfh k=01 sigma=a prefix=A\nstate 00 init accept\ntrans 0 (a) 000\n")
+    assert nfh.k == 1 and nfh.underlying.transitions == ((0, ("a",), 0),)
 
 
 def test_hyperword_format_roundtrip():
